@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all vet build test race ci bench-smoke sweep-smoke chaos-smoke obs-smoke watch-smoke lake-smoke integrity-smoke bench clean
+.PHONY: all vet build test race perfbench ci bench-smoke sweep-smoke chaos-smoke obs-smoke watch-smoke lake-smoke integrity-smoke bench clean
 
 all: ci
 
@@ -24,7 +24,12 @@ test:
 race:
 	$(GO) test -race -count=1 ./internal/shard ./internal/sweep ./internal/capi ./internal/runstore ./internal/chaos ./internal/obs ./internal/lake ./cmd/campaignd
 
-ci: vet build test race
+# perfbench is a nested module (the repo benchmark), so ./... skips it;
+# vet and test it on its own since it imports sweep and ssresf.
+perfbench:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
+ci: vet build test race perfbench
 
 # bench-smoke runs the warm-start comparisons once — both engines plus
 # the compare_vcd detector variant — and leaves BENCH_warmstart.json
@@ -50,11 +55,11 @@ bench-smoke:
 
 # sweep-smoke runs a tiny two-campaign sweep (SoC1 at two LETs) through
 # the campaignd coordinator with a live worker and asserts the rendered
-# sweep output is byte-identical to the in-process ssresf path — once
-# self-submitted via the -sweep flags, and once through the resource
-# API: an empty coordinator, the grid submitted over POST /v1/sweeps by
-# the typed capi client, results fetched and diffed against the local
-# `socfault -sweep` execution path.
+# sweep output is byte-identical to the per-campaign cold inject.RunSoC
+# oracle — once self-submitted via the -sweep flags, and once through
+# the resource API: an empty coordinator, the grid submitted over POST
+# /v1/sweeps by the typed capi client, results fetched and diffed
+# against the local `socfault -sweep` execution path.
 sweep-smoke:
 	$(GO) test ./cmd/campaignd -run '^(TestSweepSmokeByteIdentical|TestAPISubmitSmoke)$$' -count=1 -v
 
@@ -91,7 +96,8 @@ watch-smoke:
 # fleet-wide, worker lake hits nonzero), a resubmitted sweep on the same
 # lake completes with zero re-simulated shards and no workers at all,
 # and a lake chaos-failed mid-sweep still drains to output byte-identical
-# to the in-process reference — all under the race detector.
+# to the per-campaign cold inject.RunSoC oracle — all under the race
+# detector.
 lake-smoke:
 	$(GO) test ./cmd/campaignd -race -run '^(TestLakeGoldenSharedOnce|TestLakeCrossSweepReuse|TestLakeChaosMidSweep)$$' -count=1 -v
 

@@ -23,6 +23,7 @@ import (
 	"repro/internal/socgen"
 	"repro/internal/ssresf"
 	"repro/internal/svm"
+	"repro/internal/sweep"
 	"repro/internal/xrand"
 )
 
@@ -44,26 +45,57 @@ func printFirst(key string, f func()) {
 	}
 }
 
-func BenchmarkTableI(b *testing.B) {
-	ec := benchConfig()
-	for i := 0; i < b.N; i++ {
-		rows, err := ssresf.TableI(ec)
+// runGrid executes every campaign of the grid in this process, prints
+// the rendered grid once under key (unless key is empty), and returns
+// the merged results keyed by item key.
+func runGrid(b *testing.B, key string, g sweep.Grid, err error) map[string]*inject.Result {
+	b.Helper()
+	if err != nil {
+		b.Fatal(err)
+	}
+	results, err := sweep.RunLocal(g.Spec, sweep.LocalOptions{Shards: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if key != "" {
+		printFirst(key, func() {
+			fmt.Println()
+			if err := g.Render(os.Stdout, results); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+	byKey := make(map[string]*inject.Result, len(results))
+	for _, it := range g.Spec.Items {
+		fp, err := it.Campaign.Fingerprint()
 		if err != nil {
 			b.Fatal(err)
 		}
-		printFirst("table1", func() {
-			fmt.Println()
-			ssresf.RenderTableI(os.Stdout, rows)
-		})
-		b.ReportMetric(rows[0].BusSER, "soc1-bus-ser-%")
-		b.ReportMetric(rows[9].MemSER, "soc10-mem-ser-%")
+		byKey[it.Key] = results[fp]
+	}
+	return byKey
+}
+
+func BenchmarkTableI(b *testing.B) {
+	ec := benchConfig()
+	for i := 0; i < b.N; i++ {
+		g, err := sweep.TableIGrid(ec, "memcpy")
+		res := runGrid(b, "table1", g, err)
+		b.ReportMetric(res["soc1"].Modules["Bus"].SERPercent, "soc1-bus-ser-%")
+		b.ReportMetric(res["soc10"].Modules["Memory"].SERPercent, "soc10-mem-ser-%")
 	}
 }
 
 func BenchmarkTableII(b *testing.B) {
 	ec := benchConfig()
 	for i := 0; i < b.N; i++ {
-		rows, avg, err := ssresf.TableII(ec, nil)
+		g, err := sweep.TableIIGrid(ec, "memcpy")
+		res := runGrid(b, "", g, err)
+		byIdx := map[int]*inject.Result{}
+		for idx := 1; idx <= 10; idx++ {
+			byIdx[idx] = res[fmt.Sprintf("soc%d", idx)]
+		}
+		rows, avg, err := ssresf.TableIIFromResults(ec, nil, byIdx)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -79,7 +111,14 @@ func BenchmarkTableII(b *testing.B) {
 func BenchmarkTableIII(b *testing.B) {
 	ec := benchConfig()
 	for i := 0; i < b.N; i++ {
-		rows, avg, err := ssresf.TableIII(ec, nil)
+		g, err := sweep.TableIIIGrid(ec, nil, "memcpy")
+		res := runGrid(b, "", g, err)
+		ev, lv := map[float64]*inject.Result{}, map[float64]*inject.Result{}
+		for _, flux := range ssresf.TableIIIFluxes {
+			ev[flux] = res[fmt.Sprintf("t3-flux%g-event", flux)]
+			lv[flux] = res[fmt.Sprintf("t3-flux%g-level", flux)]
+		}
+		rows, avg, err := ssresf.TableIIIFromResults(ec, nil, res["t3-base"], ev, lv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -147,14 +186,8 @@ func BenchmarkFig6(b *testing.B) {
 func BenchmarkFig7(b *testing.B) {
 	ec := benchConfig()
 	for i := 0; i < b.N; i++ {
-		rows, err := ssresf.Fig7(ec, []float64{4e8, 6e8, 8e8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFirst("fig7", func() {
-			fmt.Println()
-			ssresf.RenderFig7(os.Stdout, rows)
-		})
+		g, err := sweep.Fig7Grid(ec, []float64{4e8, 6e8, 8e8}, "memcpy")
+		runGrid(b, "fig7", g, err)
 	}
 }
 
@@ -485,14 +518,8 @@ func BenchmarkKernelAblation(b *testing.B) {
 func BenchmarkLETSweep(b *testing.B) {
 	ec := benchConfig()
 	for i := 0; i < b.N; i++ {
-		pts, err := ssresf.LETSweep(ec, 1, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFirst("letsweep", func() {
-			fmt.Println()
-			ssresf.RenderLETSweep(os.Stdout, 1, pts)
-		})
-		b.ReportMetric(pts[len(pts)-1].SEUXsect, "seu-xsect-let100-cm2")
+		g, err := sweep.LETGrid(ec, 1, nil, "memcpy")
+		res := runGrid(b, "letsweep", g, err)
+		b.ReportMetric(res["soc1-let100"].SEUXsect, "seu-xsect-let100-cm2")
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"repro/internal/shard"
 	"repro/internal/ssresf"
 	"repro/internal/sweep"
+	"repro/internal/sweep/sweeptest"
 )
 
 // gridPtr adapts a grid value to serveOpts' optional self-submission.
@@ -215,8 +216,8 @@ func TestServeWorkEndToEnd(t *testing.T) {
 var sweepTestLETs = []float64{1.0, 37.0}
 
 // sweepTestGrid builds the 2-benchmark x 2-LET grid the sweep e2e tests
-// drain, plus the experiment config it derives from.
-func sweepTestGrid(t *testing.T, socs []int) (sweep.Grid, ssresf.ExperimentConfig) {
+// drain.
+func sweepTestGrid(t *testing.T, socs []int) sweep.Grid {
 	t.Helper()
 	ec := ssresf.DefaultExperimentConfig(true)
 	grids := make([]sweep.Grid, len(socs))
@@ -227,20 +228,26 @@ func sweepTestGrid(t *testing.T, socs []int) (sweep.Grid, ssresf.ExperimentConfi
 		}
 		grids[i] = g
 	}
-	return sweep.Concat("e2e-let-grid", grids...), ec
+	return sweep.Concat("e2e-let-grid", grids...)
 }
 
-// inProcessLETReference renders the same grid through the classic
-// in-process ssresf path — the byte-identity oracle.
-func inProcessLETReference(t *testing.T, ec ssresf.ExperimentConfig, socs []int) []byte {
+// coldLETReference renders the same grid from the per-campaign cold
+// inject.RunSoC oracle — the byte-identity reference every fleet path
+// must match.
+func coldLETReference(t *testing.T, socs []int) []byte {
 	t.Helper()
+	grid := sweepTestGrid(t, socs)
+	campaigns := make([]shard.CampaignSpec, len(grid.Spec.Items))
+	for i, it := range grid.Spec.Items {
+		campaigns[i] = it.Campaign
+	}
+	results, err := sweeptest.Results(campaigns)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	for _, soc := range socs {
-		pts, err := ssresf.LETSweep(ec, soc, sweepTestLETs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ssresf.RenderLETSweep(&buf, soc, pts)
+	if err := grid.Render(&buf, results); err != nil {
+		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
@@ -252,13 +259,13 @@ func inProcessLETReference(t *testing.T, ec ssresf.ExperimentConfig, socs []int)
 // worker leases a shard and dies silently (its shard must be re-issued),
 // two live workers drain the rest of the grid from the shared lease
 // pool, and the sweep-level aggregation must render byte-identically to
-// the in-process ssresf drivers. A second coordinator restart with the
+// the per-campaign cold oracle. A second coordinator restart with the
 // complete journal must finish with no workers at all — and at no point
 // may a journaled shard be re-simulated.
 func TestServeSweepEndToEnd(t *testing.T) {
 	socs := []int{1, 2}
-	grid, ec := sweepTestGrid(t, socs)
-	want := inProcessLETReference(t, ec, socs)
+	grid := sweepTestGrid(t, socs)
+	want := coldLETReference(t, socs)
 
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "sweep.jsonl")
@@ -345,14 +352,13 @@ func TestServeSweepEndToEnd(t *testing.T) {
 		t.Fatalf("journaled shard re-simulated by a worker:\nw1:\n%s\nw2:\n%s", w1Out.String(), w2Out.String())
 	}
 
-	// Byte-identity of the sweep-level aggregation with the in-process
-	// path.
+	// Byte-identity of the sweep-level aggregation with the cold oracle.
 	got, err := os.ReadFile(outPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("sweep output diverges from in-process reference:\n--- sweep ---\n%s\n--- in-process ---\n%s", got, want)
+		t.Fatalf("sweep output diverges from the cold oracle:\n--- sweep ---\n%s\n--- cold oracle ---\n%s", got, want)
 	}
 
 	// Per-campaign merged results landed in -outdir, one per key.
@@ -395,12 +401,12 @@ func TestServeSweepEndToEnd(t *testing.T) {
 // TestSweepSmokeByteIdentical is the `make sweep-smoke` gate: a tiny
 // two-campaign sweep (SoC1 at two LETs) served through the coordinator
 // and drained by one worker must render byte-identically to the
-// in-process ssresf path. It also spot-checks that sweep progress is
-// reported per campaign, never mixing fingerprints.
+// per-campaign cold inject.RunSoC oracle. It also spot-checks that sweep
+// progress is reported per campaign, never mixing fingerprints.
 func TestSweepSmokeByteIdentical(t *testing.T) {
 	socs := []int{1}
-	grid, ec := sweepTestGrid(t, socs)
-	want := inProcessLETReference(t, ec, socs)
+	grid := sweepTestGrid(t, socs)
+	want := coldLETReference(t, socs)
 
 	outPath := filepath.Join(t.TempDir(), "grid.txt")
 	var serveOut bytes.Buffer
@@ -441,7 +447,7 @@ func TestSweepSmokeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("sweep-smoke output diverges from in-process path:\n--- sweep ---\n%s\n--- in-process ---\n%s", got, want)
+		t.Fatalf("sweep-smoke output diverges from the cold oracle:\n--- sweep ---\n%s\n--- cold oracle ---\n%s", got, want)
 	}
 }
 
@@ -533,9 +539,8 @@ func fleetFingerprints(st capi.SweepStatus) map[string]bool {
 // byte-identical to the same grid's local in-process run. Submission
 // idempotency and the pending-results refusal ride along.
 func TestSubmitTwoSweepsEndToEnd(t *testing.T) {
-	ec := ssresf.DefaultExperimentConfig(true)
-	wantA := inProcessLETReference(t, ec, []int{1})
-	wantB := inProcessLETReference(t, ec, []int{2})
+	wantA := coldLETReference(t, []int{1})
+	wantB := coldLETReference(t, []int{2})
 
 	var serveOut bytes.Buffer
 	url, serveErr := startServe(t, serveOpts{
@@ -654,9 +659,8 @@ func TestSubmitTwoSweepsEndToEnd(t *testing.T) {
 // run — and resubmitting the cancelled grid resumes from the journaled
 // shard instead of re-simulating it.
 func TestCancelMidFlightDeterminism(t *testing.T) {
-	ec := ssresf.DefaultExperimentConfig(true)
-	wantA := inProcessLETReference(t, ec, []int{1})
-	wantB := inProcessLETReference(t, ec, []int{2})
+	wantA := coldLETReference(t, []int{1})
+	wantB := coldLETReference(t, []int{2})
 
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "fleet.jsonl")
@@ -793,7 +797,7 @@ func TestCancelMidFlightDeterminism(t *testing.T) {
 // 2-campaign grid, one worker — and the fetched results must be
 // byte-identical to the same grid run through the socfault local sweep
 // path (sweep.RunLocal + Grid.Render, exactly what `socfault -sweep`
-// executes).
+// executes), which itself must match the per-campaign cold oracle.
 func TestAPISubmitSmoke(t *testing.T) {
 	params := quickLETParams(1)
 	grid, err := params.Grid()
@@ -807,6 +811,9 @@ func TestAPISubmitSmoke(t *testing.T) {
 	var want bytes.Buffer
 	if err := grid.Render(&want, localResults); err != nil {
 		t.Fatal(err)
+	}
+	if cold := coldLETReference(t, []int{1}); !bytes.Equal(want.Bytes(), cold) {
+		t.Fatalf("local -sweep run diverges from the cold oracle:\n--- local ---\n%s\n--- cold oracle ---\n%s", want.String(), cold)
 	}
 
 	var serveOut bytes.Buffer

@@ -21,7 +21,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/runstore"
 	"repro/internal/shard"
-	"repro/internal/ssresf"
 )
 
 // safeBuf is a concurrency-safe output sink: workers, coordinators and
@@ -92,8 +91,7 @@ func countShards(m map[string]map[int]*shard.Partial) int {
 // re-simulated, and the zombie's completion, fenced by its stale epoch,
 // must be refused with CodeStaleEpoch.
 func TestCoordinatorFailover(t *testing.T) {
-	ec := ssresf.DefaultExperimentConfig(true)
-	want := inProcessLETReference(t, ec, []int{1})
+	want := coldLETReference(t, []int{1})
 	journal := filepath.Join(t.TempDir(), "fleet.jsonl")
 	ctx, cancel := context.WithTimeout(context.Background(), 8*time.Minute)
 	defer cancel()
@@ -283,8 +281,7 @@ func chaosClient(url string, seed int64, reg *obs.Registry) (*capi.Client, *chao
 // coordinator's idempotent completion handling must still produce the
 // byte-identical grid, and every fault class must actually have fired.
 func TestSweepUnderChaos(t *testing.T) {
-	ec := ssresf.DefaultExperimentConfig(true)
-	want := inProcessLETReference(t, ec, []int{1})
+	want := coldLETReference(t, []int{1})
 	ctx, cancel := context.WithTimeout(context.Background(), 8*time.Minute)
 	defer cancel()
 

@@ -33,8 +33,7 @@ import (
 // observability surface must show the whole story: integrity rejects,
 // audit divergences, and fleet_workers{state="quarantined"}.
 func TestIntegritySmoke(t *testing.T) {
-	ec := ssresf.DefaultExperimentConfig(true)
-	want := inProcessLETReference(t, ec, []int{1})
+	want := coldLETReference(t, []int{1})
 	ctx, cancel := context.WithTimeout(context.Background(), 8*time.Minute)
 	defer cancel()
 
@@ -277,8 +276,8 @@ func TestPoisonShardQuarantine(t *testing.T) {
 // not be re-simulated.
 func TestJournalCorruptRecordReplay(t *testing.T) {
 	socs := []int{1}
-	grid, ec := sweepTestGrid(t, socs)
-	want := inProcessLETReference(t, ec, socs)
+	grid := sweepTestGrid(t, socs)
+	want := coldLETReference(t, socs)
 
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "sweep.jsonl")

@@ -63,8 +63,8 @@ func counterValue(t *testing.T, reg *obs.Registry, series string) float64 {
 // reference the no-lake path also matches.
 func TestLakeGoldenSharedOnce(t *testing.T) {
 	socs := []int{1}
-	grid, ec := sweepTestGrid(t, socs)
-	want := inProcessLETReference(t, ec, socs)
+	grid := sweepTestGrid(t, socs)
+	want := coldLETReference(t, socs)
 	campaigns := len(grid.Spec.Items)
 
 	dir := t.TempDir()
@@ -132,7 +132,7 @@ func TestLakeGoldenSharedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("lake-enabled sweep output diverges from in-process path:\n--- lake ---\n%s\n--- in-process ---\n%s", got, want)
+		t.Fatalf("lake-enabled sweep output diverges from the cold oracle:\n--- lake ---\n%s\n--- cold oracle ---\n%s", got, want)
 	}
 }
 
@@ -146,8 +146,8 @@ func TestLakeGoldenSharedOnce(t *testing.T) {
 // re-simulated.
 func TestLakeCrossSweepReuse(t *testing.T) {
 	socs := []int{1}
-	grid, ec := sweepTestGrid(t, socs)
-	want := inProcessLETReference(t, ec, socs)
+	grid := sweepTestGrid(t, socs)
+	want := coldLETReference(t, socs)
 
 	dir := t.TempDir()
 	lakeDir := filepath.Join(dir, "lake")
@@ -216,7 +216,7 @@ func TestLakeCrossSweepReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got1, want) {
-		t.Fatalf("first sweep output diverges from in-process path:\n--- sweep ---\n%s\n--- in-process ---\n%s", got1, want)
+		t.Fatalf("first sweep output diverges from the cold oracle:\n--- sweep ---\n%s\n--- cold oracle ---\n%s", got1, want)
 	}
 	if !bytes.Equal(got2, want) {
 		t.Fatalf("lake-resumed sweep output diverges:\n--- resumed ---\n%s\n--- in-process ---\n%s", got2, want)
@@ -230,8 +230,8 @@ func TestLakeCrossSweepReuse(t *testing.T) {
 // correctness dependency.
 func TestLakeChaosMidSweep(t *testing.T) {
 	socs := []int{1}
-	grid, ec := sweepTestGrid(t, socs)
-	want := inProcessLETReference(t, ec, socs)
+	grid := sweepTestGrid(t, socs)
+	want := coldLETReference(t, socs)
 
 	dir := t.TempDir()
 	st, err := lake.Open(filepath.Join(dir, "lake"), 0)
@@ -305,6 +305,6 @@ func TestLakeChaosMidSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("chaos-lake sweep output diverges from in-process path:\n--- sweep ---\n%s\n--- in-process ---\n%s", got, want)
+		t.Fatalf("chaos-lake sweep output diverges from the cold oracle:\n--- sweep ---\n%s\n--- cold oracle ---\n%s", got, want)
 	}
 }

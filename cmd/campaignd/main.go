@@ -20,11 +20,11 @@
 // sweeps from one routing surface, journals every accepted result, and
 // merges each campaign into the exact single-process result the moment
 // its last shard lands; a drained sweep's rendered tables are byte-
-// identical to the in-process ssresf drivers. Leases expire: a shard
-// leased to a worker that dies is re-issued to the next worker. Live
-// workers heartbeat their leases, so a long shard is renewed, not
-// re-issued. serve exits once every submitted sweep is terminal and the
-// -linger grace window passes without new work.
+// identical to the per-campaign cold inject.RunSoC oracle. Leases
+// expire: a shard leased to a worker that dies is re-issued to the next
+// worker. Live workers heartbeat their leases, so a long shard is
+// renewed, not re-issued. serve exits once every submitted sweep is
+// terminal and the -linger grace window passes without new work.
 //
 // work polls the coordinator in a lease/execute/post loop through the
 // typed capi client, backing off with jitter while idle. A worker

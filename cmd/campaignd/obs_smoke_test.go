@@ -14,7 +14,6 @@ import (
 	"repro/internal/capi"
 	"repro/internal/obs"
 	"repro/internal/shard"
-	"repro/internal/ssresf"
 )
 
 // scrapeProm fetches a /metrics endpoint and runs it through the strict
@@ -50,8 +49,7 @@ func scrapeProm(t *testing.T, url string) *obs.Scrape {
 // validate as Chrome trace_event JSON — and the rendered sweep output
 // must be byte-identical to the uninstrumented in-process reference.
 func TestObsSmoke(t *testing.T) {
-	ec := ssresf.DefaultExperimentConfig(true)
-	want := inProcessLETReference(t, ec, []int{1})
+	want := coldLETReference(t, []int{1})
 	ctx, cancel := context.WithTimeout(context.Background(), 8*time.Minute)
 	defer cancel()
 

@@ -15,7 +15,6 @@ import (
 	"repro/internal/capi"
 	"repro/internal/chaos"
 	"repro/internal/obs"
-	"repro/internal/ssresf"
 )
 
 // cutOnceTransport severs the first watch stream after its first
@@ -94,8 +93,7 @@ func checkGapFree(t *testing.T, evs []capi.SweepEvent) {
 // closing with done, and the terminal status must carry the sweep's
 // cost attribution block.
 func TestWatchMatchesPoll(t *testing.T) {
-	ec := ssresf.DefaultExperimentConfig(true)
-	want := inProcessLETReference(t, ec, []int{1})
+	want := coldLETReference(t, []int{1})
 	ctx, cancel := context.WithTimeout(context.Background(), 8*time.Minute)
 	defer cancel()
 

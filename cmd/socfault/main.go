@@ -43,11 +43,9 @@ import (
 	"time"
 
 	"repro/internal/capi"
-	"repro/internal/fault"
 	"repro/internal/inject"
 	"repro/internal/runstore"
 	"repro/internal/shard"
-	"repro/internal/socgen"
 	"repro/internal/sweep"
 )
 
@@ -179,31 +177,13 @@ func run(cfg *cliConfig) error {
 	if cfg.grid != nil {
 		return runSweep(cfg)
 	}
-	if cfg.shards == 1 && cfg.journal == "" {
-		// Classic single-process path.
-		socCfg, err := socgen.ConfigByIndex(cfg.spec.SoC)
-		if err != nil {
-			return err
-		}
-		prog, err := shard.WorkloadProgram(cfg.spec.Workload)
-		if err != nil {
-			return err
-		}
-		opts := cfg.spec.Options()
-		opts.CheckpointEveryCycles = cfg.ckpt
-		run, err := inject.RunSoC(socCfg, prog, fault.DefaultDB(), opts)
-		if err != nil {
-			return err
-		}
-		fmt.Print(run.Result.String())
-		return nil
-	}
 	return runSharded(cfg)
 }
 
-// runSharded executes the campaign as independent shards on this process,
-// optionally journaling each shard and skipping journaled ones, and
-// merges the partials into the exact single-process result.
+// runSharded executes the campaign as independent shards on this process
+// (one shard by default), optionally journaling each shard and skipping
+// journaled ones, and merges the partials into the exact single-process
+// result.
 func runSharded(cfg *cliConfig) error {
 	b, err := shard.BuildLocal(cfg.spec, func(o *inject.Options) {
 		o.CheckpointEveryCycles = cfg.ckpt
@@ -262,8 +242,8 @@ func runSharded(cfg *cliConfig) error {
 // runSweep executes a whole experiment grid in this process — every
 // campaign sharded, journaled and resumable — and renders the
 // experiment's table from the merged results, byte-identical to both the
-// classic in-process ssresf drivers and a campaignd sweep coordinator
-// serving the same grid.
+// per-campaign cold inject.RunSoC oracle and a campaignd sweep
+// coordinator serving the same grid.
 func runSweep(cfg *cliConfig) error {
 	results, err := sweep.RunLocal(cfg.grid.Spec, sweep.LocalOptions{
 		Shards:     cfg.shards,

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/socgen"
 	"repro/internal/ssresf"
+	"repro/internal/sweep"
 )
 
 func main() {
@@ -28,21 +29,16 @@ func main() {
 	all := *table == 0 && *fig == 0
 	out := os.Stdout
 
-	if all || *table == 1 {
-		rows, err := ssresf.TableI(ec)
-		if err != nil {
-			fatal(err)
-		}
-		ssresf.RenderTableI(out, rows)
-		fmt.Fprintln(out)
-	}
-	if all || *table == 2 {
-		rows, avg, err := ssresf.TableII(ec, nil)
-		if err != nil {
-			fatal(err)
-		}
-		ssresf.RenderTableII(out, rows, avg)
-		fmt.Fprintln(out)
+	// Table II trains on Table I's campaigns, so one run of the Table I
+	// grid renders both.
+	t1, t2 := must(sweep.TableIGrid(ec, "memcpy")), must(sweep.TableIIGrid(ec, "memcpy"))
+	switch {
+	case all:
+		renderAll(t1.Spec, t1, t2)
+	case *table == 1:
+		renderAll(t1.Spec, t1)
+	case *table == 2:
+		renderAll(t2.Spec, t2)
 	}
 	if all || *fig == 5 || *fig == 6 {
 		cfg, err := socgen.ConfigByIndex(1)
@@ -74,21 +70,39 @@ func main() {
 			fmt.Fprintln(out)
 		}
 	}
-	if all || *table == 3 {
-		rows, avg, err := ssresf.TableIII(ec, nil)
-		if err != nil {
+	// Fig. 7 reads a subset of Table III's campaigns, so one run of the
+	// Table III grid renders both.
+	t3, f7 := must(sweep.TableIIIGrid(ec, nil, "memcpy")), must(sweep.Fig7Grid(ec, nil, "memcpy"))
+	switch {
+	case all:
+		renderAll(t3.Spec, t3, f7)
+	case *table == 3:
+		renderAll(t3.Spec, t3)
+	case *fig == 7:
+		renderAll(f7.Spec, f7)
+	}
+}
+
+// renderAll runs every campaign of spec in this process and renders
+// each grid from the merged results, a blank line after each.
+func renderAll(spec sweep.SweepSpec, grids ...sweep.Grid) {
+	results, err := sweep.RunLocal(spec, sweep.LocalOptions{Shards: 1})
+	if err != nil {
+		fatal(err)
+	}
+	for _, g := range grids {
+		if err := g.Render(os.Stdout, results); err != nil {
 			fatal(err)
 		}
-		ssresf.RenderTableIII(out, rows, avg)
-		fmt.Fprintln(out)
+		fmt.Fprintln(os.Stdout)
 	}
-	if all || *fig == 7 {
-		rows, err := ssresf.Fig7(ec, nil)
-		if err != nil {
-			fatal(err)
-		}
-		ssresf.RenderFig7(out, rows)
+}
+
+func must(g sweep.Grid, err error) sweep.Grid {
+	if err != nil {
+		fatal(err)
 	}
+	return g
 }
 
 func fatal(err error) {

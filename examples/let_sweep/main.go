@@ -5,10 +5,10 @@
 // LETs "to encompass different radiation environments" but never sweeps
 // them; this example quantifies what the choice spans.
 //
-// With -shards N the sweep runs through the grid machinery instead: every
-// LET's campaign executes as N shards whose merge is bit-identical to the
-// in-process run, with an optional resumable -journal — the same grid a
-// `campaignd serve -sweep let` coordinator hands to a worker fleet.
+// The sweep runs through the grid machinery: every LET's campaign
+// executes as -shards shards (default 1) whose merge is bit-identical to
+// an unsharded run, with an optional resumable -journal — the same grid
+// a `campaignd serve -sweep let` coordinator hands to a worker fleet.
 //
 // With -submit URL the sweep does not run here at all: its declarative
 // description goes to a running campaignd coordinator over the typed
@@ -24,46 +24,37 @@ import (
 	"os"
 
 	"repro/internal/capi"
-	"repro/internal/ssresf"
 	"repro/internal/sweep"
 )
 
 func main() {
-	shards := flag.Int("shards", 0, "run as a sharded sweep with this many shards per campaign (0 = classic in-process)")
-	journal := flag.String("journal", "", "sweep journal file (with -shards)")
+	shards := flag.Int("shards", 1, "shards per campaign")
+	journal := flag.String("journal", "", "sweep journal file")
 	resume := flag.Bool("resume", false, "resume from -journal, skipping recorded shards")
 	submit := flag.String("submit", "", "submit the sweep to the campaignd coordinator at this URL and fetch its results")
 	flag.Parse()
 
+	params := sweep.GridParams{Kind: "let", SoC: 1, Workload: "memcpy"}
 	if *submit != "" {
-		submitAndFetch(*submit, sweep.GridParams{Kind: "let", SoC: 1, Workload: "memcpy"})
+		submitAndFetch(*submit, params)
 		return
 	}
-	ec := ssresf.DefaultExperimentConfig(false)
-	if *shards > 0 {
-		grid, err := sweep.LETGrid(ec, 1, nil, "memcpy")
-		if err != nil {
-			log.Fatal(err)
-		}
-		results, err := sweep.RunLocal(grid.Spec, sweep.LocalOptions{
-			Shards:  *shards,
-			Journal: *journal,
-			Resume:  *resume,
-			Logf:    log.Printf,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := grid.Render(os.Stdout, results); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	pts, err := ssresf.LETSweep(ec, 1, nil)
+	grid, err := params.Grid()
 	if err != nil {
 		log.Fatal(err)
 	}
-	ssresf.RenderLETSweep(os.Stdout, 1, pts)
+	results, err := sweep.RunLocal(grid.Spec, sweep.LocalOptions{
+		Shards:  *shards,
+		Journal: *journal,
+		Resume:  *resume,
+		Logf:    log.Printf,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := grid.Render(os.Stdout, results); err != nil {
+		log.Fatal(err)
+	}
 }
 
 // submitAndFetch is the submit-then-fetch-results walkthrough: one

@@ -4,10 +4,11 @@
 // CPU logic, SER growing with memory size / bus width / core count, and
 // the rad-hard SRAM of SoC10 collapsing the memory column.
 //
-// With -shards N the whole table runs through the grid machinery: ten
-// campaigns as one sweep, each sharded and journaled, merging and
-// rendering bit-identically to the classic path — locally here, or
-// distributed over a fleet with `campaignd serve -sweep table1`.
+// The table runs through the grid machinery: ten campaigns as one
+// sweep, each split into -shards shards (default 1) with an optional
+// resumable -journal, rendering the same bytes at any shard count —
+// locally here, or distributed over a fleet with `campaignd serve
+// -sweep table1`.
 //
 // With -submit URL the table is produced by a running fleet instead:
 // the grid's declarative description goes to a campaignd coordinator
@@ -24,46 +25,37 @@ import (
 	"os"
 
 	"repro/internal/capi"
-	"repro/internal/ssresf"
 	"repro/internal/sweep"
 )
 
 func main() {
-	shards := flag.Int("shards", 0, "run as a sharded sweep with this many shards per campaign (0 = classic in-process)")
-	journal := flag.String("journal", "", "sweep journal file (with -shards)")
+	shards := flag.Int("shards", 1, "shards per campaign")
+	journal := flag.String("journal", "", "sweep journal file")
 	resume := flag.Bool("resume", false, "resume from -journal, skipping recorded shards")
 	submit := flag.String("submit", "", "submit the sweep to the campaignd coordinator at this URL and fetch its results")
 	flag.Parse()
 
+	params := sweep.GridParams{Kind: "table1", Workload: "memcpy"}
 	if *submit != "" {
-		submitAndFetch(*submit, sweep.GridParams{Kind: "table1", Workload: "memcpy"})
+		submitAndFetch(*submit, params)
 		return
 	}
-	ec := ssresf.DefaultExperimentConfig(false)
-	if *shards > 0 {
-		grid, err := sweep.TableIGrid(ec, "memcpy")
-		if err != nil {
-			log.Fatal(err)
-		}
-		results, err := sweep.RunLocal(grid.Spec, sweep.LocalOptions{
-			Shards:  *shards,
-			Journal: *journal,
-			Resume:  *resume,
-			Logf:    log.Printf,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := grid.Render(os.Stdout, results); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	rows, err := ssresf.TableI(ec)
+	grid, err := params.Grid()
 	if err != nil {
 		log.Fatal(err)
 	}
-	ssresf.RenderTableI(os.Stdout, rows)
+	results, err := sweep.RunLocal(grid.Spec, sweep.LocalOptions{
+		Shards:  *shards,
+		Journal: *journal,
+		Resume:  *resume,
+		Logf:    log.Printf,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := grid.Render(os.Stdout, results); err != nil {
+		log.Fatal(err)
+	}
 }
 
 // submitAndFetch is the submit-then-fetch-results walkthrough: one

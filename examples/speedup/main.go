@@ -18,25 +18,32 @@ import (
 	"repro/internal/riscv"
 	"repro/internal/socgen"
 	"repro/internal/ssresf"
+	"repro/internal/sweep"
 )
 
 func main() {
 	ec := ssresf.DefaultExperimentConfig(false)
 	fluxes := []float64{4e8, 5e8, 6e8, 7e8, 8e8}
 
-	rows, avg, err := ssresf.TableIII(ec, fluxes)
+	// Fig. 7 reads a subset of Table III's campaigns: one run renders both.
+	t3, err := sweep.TableIIIGrid(ec, fluxes, "memcpy")
 	if err != nil {
 		log.Fatal(err)
 	}
-	ssresf.RenderTableIII(os.Stdout, rows, avg)
-	fmt.Println()
-
-	figRows, err := ssresf.Fig7(ec, fluxes)
+	f7, err := sweep.Fig7Grid(ec, fluxes, "memcpy")
 	if err != nil {
 		log.Fatal(err)
 	}
-	ssresf.RenderFig7(os.Stdout, figRows)
-	fmt.Println()
+	results, err := sweep.RunLocal(t3.Spec, sweep.LocalOptions{Shards: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, g := range []sweep.Grid{t3, f7} {
+		if err := g.Render(os.Stdout, results); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println()
+	}
 
 	warmVsCold()
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/mlmetrics"
 	"repro/internal/netlist"
 	"repro/internal/riscv"
-	"repro/internal/sim"
 	"repro/internal/socgen"
 )
 
@@ -72,57 +71,12 @@ type TableIRow struct {
 	SETXsect, SEUXsect float64 // cm²
 }
 
-// TableIRowFrom assembles one Table I row from a benchmark's campaign
-// result. It is the single row-assembly point shared by the in-process
-// TableI driver and the sweep aggregation path (TableIFromResults), so a
-// campaign distributed over a worker fleet renders bit-identically to one
-// run in this process.
-func TableIRowFrom(cfg socgen.Config, r *inject.Result) TableIRow {
-	row := TableIRow{
-		Index:    cfg.Index,
-		MemType:  cfg.MemType,
-		MemKB:    cfg.MemKB,
-		BusType:  cfg.BusType,
-		BusBits:  cfg.BusBits,
-		ISA:      cfg.ISA,
-		Cores:    cfg.Cores,
-		Clusters: len(r.Clusters),
-		SETXsect: r.SETXsect,
-		SEUXsect: r.SEUXsect,
-	}
-	if m := r.Modules["Memory"]; m != nil {
-		row.MemSER = m.SERPercent
-	}
-	if m := r.Modules["Bus"]; m != nil {
-		row.BusSER = m.SERPercent
-	}
-	if m := r.Modules["CPU Logic"]; m != nil {
-		row.CPUSER = m.SERPercent
-	}
-	return row
-}
-
-// TableI runs the soft-error analysis campaign on all ten benchmarks and
-// returns the module SER rows of Table I.
-func TableI(ec ExperimentConfig) ([]TableIRow, error) {
-	var rows []TableIRow
-	for _, cfg := range socgen.TableIConfigs() {
-		run, err := inject.RunSoC(cfg, ec.Workload, ec.DB, ec.OptionsFor(cfg.Index))
-		if err != nil {
-			return nil, fmt.Errorf("ssresf: Table I SoC%d: %v", cfg.Index, err)
-		}
-		rows = append(rows, TableIRowFrom(cfg, run.Result))
-	}
-	return rows, nil
-}
-
 // TableIFromResults assembles Table I from already-executed campaign
 // results keyed by benchmark index — the aggregation half of a Table I
-// sweep, where the campaigns themselves ran sharded (locally or on a
-// campaignd worker fleet) and merged bit-identically to the in-process
-// runs. Every benchmark with a result gets a row, in benchmark order; a
-// missing benchmark is an error because a partially-aggregated Table I
-// silently misrepresents the paper's grid.
+// sweep, whose campaigns ran sharded (locally or on a campaignd worker
+// fleet). Every benchmark gets a row, in benchmark order; a missing
+// benchmark is an error because a partially-aggregated Table I silently
+// misrepresents the paper's grid.
 func TableIFromResults(results map[int]*inject.Result) ([]TableIRow, error) {
 	var rows []TableIRow
 	for _, cfg := range socgen.TableIConfigs() {
@@ -130,9 +84,36 @@ func TableIFromResults(results map[int]*inject.Result) ([]TableIRow, error) {
 		if !ok || r == nil {
 			return nil, fmt.Errorf("ssresf: Table I aggregation missing SoC%d's campaign result", cfg.Index)
 		}
-		rows = append(rows, TableIRowFrom(cfg, r))
+		mem, bus, cpu := moduleSERs(r)
+		rows = append(rows, TableIRow{
+			Index:    cfg.Index,
+			MemType:  cfg.MemType,
+			MemKB:    cfg.MemKB,
+			MemSER:   mem,
+			BusType:  cfg.BusType,
+			BusBits:  cfg.BusBits,
+			BusSER:   bus,
+			ISA:      cfg.ISA,
+			Cores:    cfg.Cores,
+			CPUSER:   cpu,
+			Clusters: len(r.Clusters),
+			SETXsect: r.SETXsect,
+			SEUXsect: r.SEUXsect,
+		})
 	}
 	return rows, nil
+}
+
+// moduleSERs returns a campaign's memory, bus and CPU-logic module SERs
+// (percent; zero for a module the design lacks).
+func moduleSERs(r *inject.Result) (mem, bus, cpu float64) {
+	pct := func(name string) float64 {
+		if m := r.Modules[name]; m != nil {
+			return m.SERPercent
+		}
+		return 0
+	}
+	return pct("Memory"), pct("Bus"), pct("CPU Logic")
 }
 
 // TableIIRow is one row of Table II: the SVM classification metrics on one
@@ -142,27 +123,33 @@ type TableIIRow struct {
 	Metrics mlmetrics.Metrics
 }
 
-// TableII trains and cross-validates the sensitivity classifier on the
-// given benchmarks (all ten when indices is nil) and returns per-benchmark
-// metrics plus the average row.
-func TableII(ec ExperimentConfig, indices []int) ([]TableIIRow, mlmetrics.Metrics, error) {
+// TableIIFromResults trains and cross-validates the sensitivity
+// classifier on each benchmark's campaign result (keyed by benchmark
+// index; the campaigns are Table I's) for the given benchmarks (all ten
+// when indices is nil), and returns per-benchmark metrics plus the
+// average row.
+func TableIIFromResults(ec ExperimentConfig, indices []int, results map[int]*inject.Result) ([]TableIIRow, mlmetrics.Metrics, error) {
 	if indices == nil {
 		indices = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	}
 	var rows []TableIIRow
 	var all []mlmetrics.Metrics
 	for _, idx := range indices {
-		cfg, err := socgen.ConfigByIndex(idx)
+		r := results[idx]
+		if r == nil {
+			return nil, mlmetrics.Metrics{}, fmt.Errorf("ssresf: Table II aggregation missing SoC%d's campaign result", idx)
+		}
+		flat, err := flatOf(idx)
 		if err != nil {
 			return nil, mlmetrics.Metrics{}, err
 		}
-		an, err := AnalyzeSoC(cfg, ec.Workload, ec.DB, ec.OptionsFor(idx))
+		ds, err := BuildDataset(flat, r)
 		if err != nil {
 			return nil, mlmetrics.Metrics{}, fmt.Errorf("ssresf: Table II SoC%d: %v", idx, err)
 		}
 		topts := ec.Train
 		topts.Seed = ec.Train.Seed + uint64(idx)
-		cls, err := Train(an.Dataset, topts)
+		cls, err := Train(ds, topts)
 		if err != nil {
 			return nil, mlmetrics.Metrics{}, fmt.Errorf("ssresf: Table II SoC%d: %v", idx, err)
 		}
@@ -171,6 +158,21 @@ func TableII(ec ExperimentConfig, indices []int) ([]TableIIRow, mlmetrics.Metric
 		all = append(all, m)
 	}
 	return rows, mlmetrics.Mean(all), nil
+}
+
+// flatOf generates and flattens benchmark idx's netlist. Generation is
+// deterministic, so this copy is identical to the one the benchmark's
+// campaign ran on, wherever that was.
+func flatOf(idx int) (*netlist.Flat, error) {
+	cfg, err := socgen.ConfigByIndex(idx)
+	if err != nil {
+		return nil, err
+	}
+	d, err := socgen.Generate(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return netlist.Flatten(d)
 }
 
 // Fig5Point is one point of the feature-selection curve.
@@ -240,9 +242,8 @@ var TableIIIFluxes = []float64{4e8, 5e8, 6e8, 7e8, 8e8}
 // flux condition: the SoC1 base options with the flux applied, the sample
 // volume scaled with it (higher flux means more upsets to simulate,
 // clamped at full sampling) and a per-flux seed. The engine is left at
-// the base value; Table III runs each condition once per engine. Shared
-// by the in-process TableIII driver and the sweep grid enumeration, so
-// both paths name bit-identical campaigns.
+// the base value; Table III runs each condition once per engine, and
+// Fig. 7 reuses the EventSim campaigns.
 func (ec ExperimentConfig) TableIIIFluxOptions(flux float64) inject.Options {
 	opts := ec.OptionsFor(1)
 	opts.Flux = flux
@@ -254,53 +255,45 @@ func (ec ExperimentConfig) TableIIIFluxOptions(flux float64) inject.Options {
 	return opts
 }
 
-// TableIII reproduces the runtime comparison on PULP SoC1: for every flux,
-// a full fault-injection campaign runs on both engines (the sample volume
-// scales with flux, as higher flux means more upsets to simulate), and the
-// pre-trained SVM predicts the same sensitivity labels in a fraction of
-// the time.
-func TableIII(ec ExperimentConfig, fluxes []float64) ([]TableIIIRow, TableIIIRow, error) {
+// baseClassifier trains the sensitivity classifier on the SoC1 base
+// campaign's result and returns it with the SoC1 netlist it predicts
+// over.
+func baseClassifier(ec ExperimentConfig, base *inject.Result) (*Classifier, *netlist.Flat, error) {
+	if base == nil {
+		return nil, nil, fmt.Errorf("ssresf: aggregation missing the SoC1 base training campaign")
+	}
+	flat, err := flatOf(1)
+	if err != nil {
+		return nil, nil, err
+	}
+	ds, err := BuildDataset(flat, base)
+	if err != nil {
+		return nil, nil, err
+	}
+	cls, err := Train(ds, ec.Train)
+	if err != nil {
+		return nil, nil, err
+	}
+	return cls, flat, nil
+}
+
+// TableIIIFromResults assembles Table III from already-executed campaign
+// results: the SoC1 base campaign (classifier training data) plus one
+// EventSim and one LevelSim result per flux, all typically merged from a
+// sweep. The ML phase — dataset build, training, prediction — runs in
+// this process, so the deterministic columns (accuracy) depend only on
+// the campaign verdicts; the runtime columns are wall-clock by nature
+// and reflect wherever the campaigns actually ran. Each row pairs one
+// prediction pass over every node against both engines' campaign
+// runtimes; the last return value is the average row.
+func TableIIIFromResults(ec ExperimentConfig, fluxes []float64, base *inject.Result, ev, lv map[float64]*inject.Result) ([]TableIIIRow, TableIIIRow, error) {
 	if len(fluxes) == 0 {
 		fluxes = TableIIIFluxes
 	}
-	cfg, err := socgen.ConfigByIndex(1)
+	cls, flat, err := baseClassifier(ec, base)
 	if err != nil {
 		return nil, TableIIIRow{}, err
 	}
-	// Train the classifier once on the base campaign.
-	an, err := AnalyzeSoC(cfg, ec.Workload, ec.DB, ec.OptionsFor(1))
-	if err != nil {
-		return nil, TableIIIRow{}, err
-	}
-	cls, err := Train(an.Dataset, ec.Train)
-	if err != nil {
-		return nil, TableIIIRow{}, err
-	}
-
-	ev := map[float64]*inject.Result{}
-	lv := map[float64]*inject.Result{}
-	for _, flux := range fluxes {
-		opts := ec.TableIIIFluxOptions(flux)
-		opts.Engine = sim.KindEvent
-		evRun, err := inject.RunSoC(cfg, ec.Workload, ec.DB, opts)
-		if err != nil {
-			return nil, TableIIIRow{}, err
-		}
-		opts.Engine = sim.KindLevel
-		lvRun, err := inject.RunSoC(cfg, ec.Workload, ec.DB, opts)
-		if err != nil {
-			return nil, TableIIIRow{}, err
-		}
-		ev[flux], lv[flux] = evRun.Result, lvRun.Result
-	}
-	return tableIIIRows(cls, an.Run.Flat, fluxes, ev, lv)
-}
-
-// tableIIIRows is the shared assembly of Table III: predict once per flux
-// on the design's flat netlist, pair the prediction time against both
-// engines' campaign runtimes, and average. flat is the SoC1 netlist —
-// generation is deterministic, so any process's copy is identical.
-func tableIIIRows(cls *Classifier, flat *netlist.Flat, fluxes []float64, ev, lv map[float64]*inject.Result) ([]TableIIIRow, TableIIIRow, error) {
 	var rows []TableIIIRow
 	var avg TableIIIRow
 	for _, flux := range fluxes {
@@ -342,44 +335,6 @@ func tableIIIRows(cls *Classifier, flat *netlist.Flat, fluxes []float64, ev, lv 
 	return rows, avg, nil
 }
 
-// TableIIIFromResults assembles Table III from already-executed campaign
-// results: the SoC1 base campaign (classifier training data) plus one
-// EventSim and one LevelSim result per flux, all typically merged from a
-// sweep. The ML phase — dataset build, training, prediction — runs in
-// this process on the deterministic SoC1 netlist, exactly as the
-// in-process TableIII does, so the deterministic columns (accuracy)
-// match it bit for bit; the runtime columns are wall-clock by nature and
-// reflect wherever the campaigns actually ran.
-func TableIIIFromResults(ec ExperimentConfig, fluxes []float64, base *inject.Result, ev, lv map[float64]*inject.Result) ([]TableIIIRow, TableIIIRow, error) {
-	if len(fluxes) == 0 {
-		fluxes = TableIIIFluxes
-	}
-	if base == nil {
-		return nil, TableIIIRow{}, fmt.Errorf("ssresf: Table III aggregation missing the base training campaign")
-	}
-	cfg, err := socgen.ConfigByIndex(1)
-	if err != nil {
-		return nil, TableIIIRow{}, err
-	}
-	d, err := socgen.Generate(cfg)
-	if err != nil {
-		return nil, TableIIIRow{}, err
-	}
-	flat, err := netlist.Flatten(d)
-	if err != nil {
-		return nil, TableIIIRow{}, err
-	}
-	ds, err := BuildDataset(flat, base)
-	if err != nil {
-		return nil, TableIIIRow{}, err
-	}
-	cls, err := Train(ds, ec.Train)
-	if err != nil {
-		return nil, TableIIIRow{}, err
-	}
-	return tableIIIRows(cls, flat, fluxes, ev, lv)
-}
-
 // outcomeAccuracy scores the model against the flux campaign's observed
 // ground truth: for every node the campaign actually injected, the SVM's
 // prediction is compared with whether that injection manifested as a soft
@@ -408,31 +363,23 @@ type Fig7Row struct {
 	Percent map[string]float64
 }
 
-// Fig7 compares the distribution of highly sensitive nodes across memory,
-// bus and CPU logic between per-flux simulation campaigns and the SVM
-// prediction on PULP SoC1.
-func Fig7(ec ExperimentConfig, fluxes []float64) ([]Fig7Row, error) {
+// Fig7FromResults compares the distribution of highly sensitive nodes
+// across memory, bus and CPU logic between per-flux simulation campaigns
+// and the SVM prediction on PULP SoC1. Its inputs are a subset of Table
+// III's: the base training campaign and the EventSim campaign per flux
+// (nil fluxes means TableIIIFluxes).
+func Fig7FromResults(ec ExperimentConfig, fluxes []float64, base *inject.Result, ev map[float64]*inject.Result) ([]Fig7Row, error) {
 	if len(fluxes) == 0 {
-		fluxes = []float64{4e8, 5e8, 6e8, 7e8, 8e8}
+		fluxes = TableIIIFluxes
 	}
-	cfg, err := socgen.ConfigByIndex(1)
+	cls, flat, err := baseClassifier(ec, base)
 	if err != nil {
 		return nil, err
 	}
-	baseOpts := ec.OptionsFor(1)
-	an, err := AnalyzeSoC(cfg, ec.Workload, ec.DB, baseOpts)
-	if err != nil {
-		return nil, err
-	}
-	cls, err := Train(an.Dataset, ec.Train)
-	if err != nil {
-		return nil, err
-	}
-
 	moduleShare := func(f func(cellID int) bool) map[string]float64 {
 		counts := map[string]int{}
 		totals := map[string]int{}
-		for _, c := range an.Run.Flat.Cells {
+		for _, c := range flat.Cells {
 			mod := socgen.ModuleOf(c)
 			totals[mod]++
 			if f(c.ID) {
@@ -448,24 +395,17 @@ func Fig7(ec ExperimentConfig, fluxes []float64) ([]Fig7Row, error) {
 
 	var rows []Fig7Row
 	for _, flux := range fluxes {
-		opts := baseOpts
-		opts.Flux = flux
-		opts.SampleFrac = baseOpts.SampleFrac * flux / 5e8
-		if opts.SampleFrac > 1 {
-			opts.SampleFrac = 1
+		r := ev[flux]
+		if r == nil {
+			return nil, fmt.Errorf("ssresf: Fig. 7 aggregation missing flux %g's EventSim campaign", flux)
 		}
-		opts.Seed = baseOpts.Seed + uint64(flux/1e8)
-		run, err := inject.RunSoC(cfg, ec.Workload, ec.DB, opts)
-		if err != nil {
-			return nil, err
-		}
-		labels := run.Result.LabelCellsRefined(run.Result.ChipSER)
+		labels := r.LabelCellsRefined(r.ChipSER)
 		rows = append(rows, Fig7Row{
 			Source:  fmt.Sprintf("Simulation-%.0e", flux),
 			Percent: moduleShare(func(id int) bool { return labels[id] }),
 		})
 	}
-	pred, _, err := cls.Predict(an.Run.Flat)
+	pred, _, err := cls.Predict(flat)
 	if err != nil {
 		return nil, err
 	}

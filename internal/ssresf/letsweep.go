@@ -6,10 +6,14 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/inject"
-	"repro/internal/socgen"
 )
 
-// LETPoint is one point of the LET sensitivity sweep.
+// LETPoint is one point of the LET sensitivity sweep: the extension
+// experiment the paper's database design implies but never evaluates —
+// the same campaign at each tabulated LET value, showing the Weibull
+// growth of module soft-error rates with deposited energy. The paper
+// selects LET 1.0/37.0/100.0 "to encompass different radiation
+// environments"; the sweep quantifies what that choice spans.
 type LETPoint struct {
 	LET      float64
 	ChipSER  float64
@@ -18,54 +22,6 @@ type LETPoint struct {
 	CPUSER   float64 // percent
 	SEUXsect float64
 	SETXsect float64
-}
-
-// LETSweep is the extension experiment the paper's database design implies
-// but never evaluates: the same campaign at each tabulated LET value,
-// showing the Weibull growth of module soft-error rates with deposited
-// energy. The paper selects LET 1.0/37.0/100.0 "to encompass different
-// radiation environments"; this sweep quantifies what that choice spans.
-func LETSweep(ec ExperimentConfig, socIdx int, lets []float64) ([]LETPoint, error) {
-	if len(lets) == 0 {
-		lets = fault.StandardLETs
-	}
-	cfg, err := socgen.ConfigByIndex(socIdx)
-	if err != nil {
-		return nil, err
-	}
-	var pts []LETPoint
-	for _, let := range lets {
-		opts := ec.OptionsFor(socIdx)
-		opts.LET = let
-		run, err := inject.RunSoC(cfg, ec.Workload, ec.DB, opts)
-		if err != nil {
-			return nil, fmt.Errorf("ssresf: LET sweep %g: %v", let, err)
-		}
-		pts = append(pts, LETPointFrom(let, run.Result))
-	}
-	return pts, nil
-}
-
-// LETPointFrom assembles one sweep point from a campaign result — the
-// single extraction point shared by the in-process LETSweep driver and
-// the sweep aggregation path (LETSweepFromResults).
-func LETPointFrom(let float64, r *inject.Result) LETPoint {
-	p := LETPoint{
-		LET:      let,
-		ChipSER:  r.ChipSER,
-		SEUXsect: r.SEUXsect,
-		SETXsect: r.SETXsect,
-	}
-	if m := r.Modules["Memory"]; m != nil {
-		p.MemSER = m.SERPercent
-	}
-	if m := r.Modules["Bus"]; m != nil {
-		p.BusSER = m.SERPercent
-	}
-	if m := r.Modules["CPU Logic"]; m != nil {
-		p.CPUSER = m.SERPercent
-	}
-	return p
 }
 
 // LETSweepFromResults assembles the sweep from already-executed campaign
@@ -81,7 +37,16 @@ func LETSweepFromResults(lets []float64, results map[float64]*inject.Result) ([]
 		if !ok || r == nil {
 			return nil, fmt.Errorf("ssresf: LET sweep aggregation missing LET %g's campaign result", let)
 		}
-		pts = append(pts, LETPointFrom(let, r))
+		mem, bus, cpu := moduleSERs(r)
+		pts = append(pts, LETPoint{
+			LET:      let,
+			ChipSER:  r.ChipSER,
+			MemSER:   mem,
+			BusSER:   bus,
+			CPUSER:   cpu,
+			SEUXsect: r.SEUXsect,
+			SETXsect: r.SETXsect,
+		})
 	}
 	return pts, nil
 }

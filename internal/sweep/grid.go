@@ -19,63 +19,35 @@ import (
 // turns the merged per-campaign results back into the experiment's
 // rendered artifact. Render consumes results keyed by campaign
 // fingerprint — exactly what RunLocal and a campaignd sweep coordinator
-// produce — and writes the same bytes the in-process ssresf driver
-// would, because both funnel through the shared ssresf row/point
-// assembly on results that merge bit-identically.
+// produce — and refuses a map missing any of the grid's campaigns.
+// Because sharded campaigns merge bit-identically, every execution path
+// renders the same bytes as the per-campaign cold inject.RunSoC oracle
+// the tests compare against.
 type Grid struct {
 	Spec   SweepSpec
 	Render func(w io.Writer, results map[string]*inject.Result) error
 }
 
-// pick resolves one item's merged result by campaign identity.
-func pick(results map[string]*inject.Result, it Item) (*inject.Result, error) {
-	fp, err := it.Campaign.Fingerprint()
-	if err != nil {
-		return nil, err
-	}
-	r, ok := results[fp]
-	if !ok || r == nil {
-		return nil, fmt.Errorf("sweep: no merged result for campaign %q (%.12s)", it.Key, fp)
-	}
-	return r, nil
-}
-
-// TableIGrid enumerates the paper's Table I: the soft-error campaign on
-// all ten SoC benchmarks, each at its Table I cluster count. workload
-// names the RISC-V kernel; the constructor resolves it and overwrites
-// ec.Workload with the same program, so campaign fingerprints and any
-// in-process comparison always describe one kernel.
-func TableIGrid(ec ssresf.ExperimentConfig, workload string) (Grid, error) {
-	if err := resolveWorkload(&ec, workload); err != nil {
-		return Grid{}, err
-	}
-	var items []Item
-	for _, cfg := range socgen.TableIConfigs() {
-		items = append(items, Item{
-			Key:      fmt.Sprintf("soc%d", cfg.Index),
-			Campaign: shard.SpecFromOptions(cfg.Index, workload, ec.OptionsFor(cfg.Index)),
-		})
-	}
-	spec := SweepSpec{Name: "table1", Items: items}
+// newGrid builds a grid whose Render resolves every item's merged
+// result in sweep order — refusing a map that lacks any of them — and
+// hands the results to render.
+func newGrid(name string, items []Item, render func(w io.Writer, res []*inject.Result) error) Grid {
 	return Grid{
-		Spec: spec,
+		Spec: SweepSpec{Name: name, Items: items},
 		Render: func(w io.Writer, results map[string]*inject.Result) error {
-			byIdx := make(map[int]*inject.Result, len(items))
-			for _, it := range items {
-				r, err := pick(results, it)
+			res := make([]*inject.Result, len(items))
+			for i, it := range items {
+				fp, err := it.Campaign.Fingerprint()
 				if err != nil {
 					return err
 				}
-				byIdx[it.Campaign.SoC] = r
+				if res[i] = results[fp]; res[i] == nil {
+					return fmt.Errorf("sweep: no merged result for campaign %q (%.12s)", it.Key, fp)
+				}
 			}
-			rows, err := ssresf.TableIFromResults(byIdx)
-			if err != nil {
-				return err
-			}
-			ssresf.RenderTableI(w, rows)
-			return nil
+			return render(w, res)
 		},
-	}, nil
+	}
 }
 
 // resolveWorkload pins the config's workload program to the named
@@ -89,10 +61,66 @@ func resolveWorkload(ec *ssresf.ExperimentConfig, workload string) error {
 	return nil
 }
 
+// TableIGrid enumerates the paper's Table I: the soft-error campaign on
+// all ten SoC benchmarks, each at its Table I cluster count. workload
+// names the RISC-V kernel; the constructor resolves it and overwrites
+// ec.Workload with the same program, so campaign fingerprints and any
+// in-process comparison always describe one kernel.
+func TableIGrid(ec ssresf.ExperimentConfig, workload string) (Grid, error) {
+	return benchmarkGrid("table1", ec, workload, func(w io.Writer, _ ssresf.ExperimentConfig, byIdx map[int]*inject.Result) error {
+		rows, err := ssresf.TableIFromResults(byIdx)
+		if err != nil {
+			return err
+		}
+		ssresf.RenderTableI(w, rows)
+		return nil
+	})
+}
+
+// TableIIGrid enumerates Table II's campaigns — exactly Table I's, so
+// results merged for a Table I grid render Table II as well. Rendering
+// trains and cross-validates the classifier on every benchmark.
+func TableIIGrid(ec ssresf.ExperimentConfig, workload string) (Grid, error) {
+	return benchmarkGrid("table2", ec, workload, func(w io.Writer, ec ssresf.ExperimentConfig, byIdx map[int]*inject.Result) error {
+		rows, avg, err := ssresf.TableIIFromResults(ec, nil, byIdx)
+		if err != nil {
+			return err
+		}
+		ssresf.RenderTableII(w, rows, avg)
+		return nil
+	})
+}
+
+// benchmarkGrid builds a grid of one campaign per Table I benchmark;
+// render receives the results keyed by benchmark index.
+func benchmarkGrid(name string, ec ssresf.ExperimentConfig, workload string,
+	render func(w io.Writer, ec ssresf.ExperimentConfig, byIdx map[int]*inject.Result) error) (Grid, error) {
+	if err := resolveWorkload(&ec, workload); err != nil {
+		return Grid{}, err
+	}
+	var items []Item
+	for _, cfg := range socgen.TableIConfigs() {
+		items = append(items, Item{
+			Key:      fmt.Sprintf("soc%d", cfg.Index),
+			Campaign: shard.SpecFromOptions(cfg.Index, workload, ec.OptionsFor(cfg.Index)),
+		})
+	}
+	return newGrid(name, items, func(w io.Writer, res []*inject.Result) error {
+		byIdx := make(map[int]*inject.Result, len(res))
+		for i, it := range items {
+			byIdx[it.Campaign.SoC] = res[i]
+		}
+		return render(w, ec, byIdx)
+	}), nil
+}
+
 // LETGrid enumerates the LET sensitivity sweep: the same campaign on one
 // benchmark at each given LET (nil means the database's tabulated LETs).
 func LETGrid(ec ssresf.ExperimentConfig, socIdx int, lets []float64, workload string) (Grid, error) {
 	if err := resolveWorkload(&ec, workload); err != nil {
+		return Grid{}, err
+	}
+	if _, err := socgen.ConfigByIndex(socIdx); err != nil {
 		return Grid{}, err
 	}
 	if len(lets) == 0 {
@@ -108,26 +136,18 @@ func LETGrid(ec ssresf.ExperimentConfig, socIdx int, lets []float64, workload st
 			Campaign: shard.SpecFromOptions(socIdx, workload, opts),
 		})
 	}
-	spec := SweepSpec{Name: fmt.Sprintf("let-soc%d", socIdx), Items: items}
-	return Grid{
-		Spec: spec,
-		Render: func(w io.Writer, results map[string]*inject.Result) error {
-			byLET := make(map[float64]*inject.Result, len(items))
-			for i, it := range items {
-				r, err := pick(results, it)
-				if err != nil {
-					return err
-				}
-				byLET[lets[i]] = r
-			}
-			pts, err := ssresf.LETSweepFromResults(lets, byLET)
-			if err != nil {
-				return err
-			}
-			ssresf.RenderLETSweep(w, socIdx, pts)
-			return nil
-		},
-	}, nil
+	return newGrid(fmt.Sprintf("let-soc%d", socIdx), items, func(w io.Writer, res []*inject.Result) error {
+		byLET := make(map[float64]*inject.Result, len(res))
+		for i, r := range res {
+			byLET[lets[i]] = r
+		}
+		pts, err := ssresf.LETSweepFromResults(lets, byLET)
+		if err != nil {
+			return err
+		}
+		ssresf.RenderLETSweep(w, socIdx, pts)
+		return nil
+	}), nil
 }
 
 // TableIIIGrid enumerates the runtime-comparison grid: the SoC1 base
@@ -135,6 +155,37 @@ func LETGrid(ec ssresf.ExperimentConfig, socIdx int, lets []float64, workload st
 // campaign per engine. The ML phase runs at aggregation time in the
 // rendering process; only the simulation campaigns distribute.
 func TableIIIGrid(ec ssresf.ExperimentConfig, fluxes []float64, workload string) (Grid, error) {
+	return fluxGrid("table3", ec, fluxes, workload, []sim.EngineKind{sim.KindEvent, sim.KindLevel},
+		func(w io.Writer, ec ssresf.ExperimentConfig, fluxes []float64, base *inject.Result, byFlux []map[float64]*inject.Result) error {
+			rows, avg, err := ssresf.TableIIIFromResults(ec, fluxes, base, byFlux[0], byFlux[1])
+			if err != nil {
+				return err
+			}
+			ssresf.RenderTableIII(w, rows, avg)
+			return nil
+		})
+}
+
+// Fig7Grid enumerates Fig. 7's campaigns — the Table III grid's base and
+// EventSim campaigns, with identical fingerprints — so results merged
+// for a Table III grid render Fig. 7 without re-simulating anything.
+func Fig7Grid(ec ssresf.ExperimentConfig, fluxes []float64, workload string) (Grid, error) {
+	return fluxGrid("fig7", ec, fluxes, workload, []sim.EngineKind{sim.KindEvent},
+		func(w io.Writer, ec ssresf.ExperimentConfig, fluxes []float64, base *inject.Result, byFlux []map[float64]*inject.Result) error {
+			rows, err := ssresf.Fig7FromResults(ec, fluxes, base, byFlux[0])
+			if err != nil {
+				return err
+			}
+			ssresf.RenderFig7(w, rows)
+			return nil
+		})
+}
+
+// fluxGrid builds a grid of the SoC1 base campaign followed, for every
+// flux (nil means the paper's five), by one campaign per engine; render
+// receives the base result and, per engine, the results keyed by flux.
+func fluxGrid(name string, ec ssresf.ExperimentConfig, fluxes []float64, workload string, engines []sim.EngineKind,
+	render func(w io.Writer, ec ssresf.ExperimentConfig, fluxes []float64, base *inject.Result, byFlux []map[float64]*inject.Result) error) (Grid, error) {
 	if err := resolveWorkload(&ec, workload); err != nil {
 		return Grid{}, err
 	}
@@ -142,44 +193,25 @@ func TableIIIGrid(ec ssresf.ExperimentConfig, fluxes []float64, workload string)
 		fluxes = ssresf.TableIIIFluxes
 	}
 	fluxes = append([]float64{}, fluxes...)
-	base := Item{Key: "t3-base", Campaign: shard.SpecFromOptions(1, workload, ec.OptionsFor(1))}
-	items := []Item{base}
-	evItems := make([]Item, len(fluxes))
-	lvItems := make([]Item, len(fluxes))
-	for i, flux := range fluxes {
+	items := []Item{{Key: "t3-base", Campaign: shard.SpecFromOptions(1, workload, ec.OptionsFor(1))}}
+	for _, flux := range fluxes {
 		opts := ec.TableIIIFluxOptions(flux)
-		opts.Engine = sim.KindEvent
-		evItems[i] = Item{Key: fmt.Sprintf("t3-flux%g-event", flux), Campaign: shard.SpecFromOptions(1, workload, opts)}
-		opts.Engine = sim.KindLevel
-		lvItems[i] = Item{Key: fmt.Sprintf("t3-flux%g-level", flux), Campaign: shard.SpecFromOptions(1, workload, opts)}
-		items = append(items, evItems[i], lvItems[i])
+		for _, eng := range engines {
+			opts.Engine = eng
+			key := fmt.Sprintf("t3-flux%g-%s", flux, strings.ToLower(strings.TrimSuffix(string(eng), "Sim")))
+			items = append(items, Item{Key: key, Campaign: shard.SpecFromOptions(1, workload, opts)})
+		}
 	}
-	spec := SweepSpec{Name: "table3", Items: items}
-	return Grid{
-		Spec: spec,
-		Render: func(w io.Writer, results map[string]*inject.Result) error {
-			baseRes, err := pick(results, base)
-			if err != nil {
-				return err
-			}
-			ev := make(map[float64]*inject.Result, len(fluxes))
-			lv := make(map[float64]*inject.Result, len(fluxes))
+	return newGrid(name, items, func(w io.Writer, res []*inject.Result) error {
+		byFlux := make([]map[float64]*inject.Result, len(engines))
+		for e := range engines {
+			byFlux[e] = make(map[float64]*inject.Result, len(fluxes))
 			for i, flux := range fluxes {
-				if ev[flux], err = pick(results, evItems[i]); err != nil {
-					return err
-				}
-				if lv[flux], err = pick(results, lvItems[i]); err != nil {
-					return err
-				}
+				byFlux[e][flux] = res[1+i*len(engines)+e]
 			}
-			rows, avg, err := ssresf.TableIIIFromResults(ec, fluxes, baseRes, ev, lv)
-			if err != nil {
-				return err
-			}
-			ssresf.RenderTableIII(w, rows, avg)
-			return nil
-		},
-	}, nil
+		}
+		return render(w, ec, fluxes, res[0], byFlux)
+	}), nil
 }
 
 // Concat joins grids into one sweep: the campaign lists concatenate in

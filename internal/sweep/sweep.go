@@ -9,10 +9,12 @@
 // whose golden run it has already built and cached before switching
 // fingerprints), campaigns merge independently the moment their last
 // shard lands, and the merged results feed back into the ssresf
-// renderers bit-identically to the in-process drivers. One runstore
-// journal holds the whole sweep, namespaced per campaign fingerprint,
-// so a killed sweep — local or coordinated — resumes without re-running
-// any journaled shard.
+// renderers. RunLocal is the one in-process path that runs a grid; its
+// output, like a coordinator's, is byte-identical to the per-campaign
+// cold inject.RunSoC oracle (package sweeptest). One runstore journal
+// holds the whole sweep, namespaced per campaign fingerprint, so a
+// killed sweep — local or coordinated — resumes without re-running any
+// journaled shard.
 package sweep
 
 import (

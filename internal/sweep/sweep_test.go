@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"repro/internal/runstore"
 	"repro/internal/shard"
 	"repro/internal/ssresf"
+	"repro/internal/sweep/sweeptest"
 	"repro/internal/xrand"
 )
 
@@ -352,7 +355,7 @@ func TestSweepDeterminism(t *testing.T) {
 
 	// Per-campaign merge on the coordinator's builds: bit-identical to
 	// the single-process campaigns, and the grid renders identically to
-	// the in-process ssresf driver.
+	// them.
 	results := map[string]*inject.Result{}
 	for i := range ss.Items {
 		res, err := shard.Merge(coord[i], pool2.Partials(i))
@@ -376,9 +379,29 @@ func TestSweepDeterminism(t *testing.T) {
 	}
 }
 
+// coldRender renders the grid from the per-campaign cold inject.RunSoC
+// oracle — the byte-identity reference for every sweep execution path.
+func coldRender(t *testing.T, g Grid) []byte {
+	t.Helper()
+	campaigns := make([]shard.CampaignSpec, len(g.Spec.Items))
+	for i, it := range g.Spec.Items {
+		campaigns[i] = it.Campaign
+	}
+	results, err := sweeptest.Results(campaigns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := g.Render(&buf, results); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestRunLocalMatchesInProcess pins the local sweep path end to end: a
-// sharded, journaled RunLocal renders byte-identically to the classic
-// in-process ssresf driver, and a resumed RunLocal re-executes nothing.
+// sharded, journaled RunLocal renders byte-identically to the
+// per-campaign cold inject.RunSoC oracle, and a resumed RunLocal
+// re-executes nothing.
 func TestRunLocalMatchesInProcess(t *testing.T) {
 	ec := quickEC()
 	grid := mustGrid(t)(LETGrid(ec, 1, testLETs, "memcpy"))
@@ -400,15 +423,8 @@ func TestRunLocalMatchesInProcess(t *testing.T) {
 	if err := grid.Render(&got, results); err != nil {
 		t.Fatal(err)
 	}
-
-	pts, err := ssresf.LETSweep(ec, 1, testLETs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	ssresf.RenderLETSweep(&want, 1, pts)
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("local sweep output diverges from in-process LETSweep:\n%s\nvs\n%s", got.String(), want.String())
+	if want := coldRender(t, grid); !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("local sweep output diverges from the cold oracle:\n%s\nvs\n%s", got.String(), want)
 	}
 
 	// Resume: everything comes from the journal; outputs stay identical.
@@ -486,6 +502,41 @@ func TestGridParamsMatchFlagsAndConstructors(t *testing.T) {
 	}
 	if _, err := (GridParams{Kind: "let", Workload: "quicksort3"}).Grid(); err == nil {
 		t.Fatal("unknown workload accepted")
+	}
+	for _, soc := range []int{11, -1} {
+		if _, err := (GridParams{Kind: "let", SoC: soc}).Grid(); err == nil {
+			t.Fatalf("LET grid on benchmark %d accepted", soc)
+		}
+	}
+}
+
+// TestRenderRefusesIncompleteResults pins that Render — the only path
+// from merged results to a table — names the missing campaign instead
+// of rendering a partial grid.
+func TestRenderRefusesIncompleteResults(t *testing.T) {
+	for _, p := range []GridParams{
+		{Kind: "table1", Quick: true},
+		{Kind: "let", LETs: testLETs, Quick: true},
+		{Kind: "table3", Fluxes: []float64{4e8, 5e8}, Quick: true},
+	} {
+		g, err := p.Grid()
+		if err != nil {
+			t.Fatal(err)
+		}
+		items := g.Spec.Items
+		err = g.Render(io.Discard, map[string]*inject.Result{})
+		if err == nil || !strings.Contains(err.Error(), items[0].Key) {
+			t.Errorf("%s: empty results rendered (err %v), want an error naming %q", p.Kind, err, items[0].Key)
+		}
+		partial := map[string]*inject.Result{}
+		for _, it := range items[:len(items)-1] {
+			partial[cfpOf(t, it.Campaign)] = &inject.Result{}
+		}
+		last := items[len(items)-1].Key
+		err = g.Render(io.Discard, partial)
+		if err == nil || !strings.Contains(err.Error(), last) {
+			t.Errorf("%s: results missing the last campaign rendered (err %v), want an error naming %q", p.Kind, err, last)
+		}
 	}
 }
 
