@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -216,6 +217,7 @@ func BenchmarkEngines(b *testing.B) {
 	}
 	for _, kind := range []sim.EngineKind{sim.KindEvent, sim.KindLevel} {
 		b.Run(string(kind), func(b *testing.B) {
+			b.ReportAllocs()
 			var evals uint64
 			for i := 0; i < b.N; i++ {
 				e, err := sim.New(kind, f)
@@ -257,6 +259,9 @@ type warmstartReport struct {
 	ChecksumWallNS   int64   `json:"checksum_wall_ns"`
 	EvalsReductionX  float64 `json:"evals_reduction_x"`
 	WallReductionX   float64 `json:"wall_reduction_x"`
+	// AllocsPerEval is the heap allocation count (runtime Mallocs delta)
+	// over the warm injection phase divided by its cell evals.
+	AllocsPerEval float64 `json:"allocs_per_eval"`
 }
 
 var (
@@ -280,8 +285,9 @@ func writeWarmstartJSON(b *testing.B, key string, rep warmstartReport) {
 
 // runWarmColdPair executes the same SoC1 campaign twice — cold
 // (replay-from-zero) and warm (checkpoint-restored) — and fails the bench
-// if the two results are not bit-identical.
-func runWarmColdPair(b *testing.B, kind sim.EngineKind, frac float64) (cold, warm *inject.SoCRun) {
+// if the two results are not bit-identical. warmMallocs counts the heap
+// allocations of the warm run's injection phase.
+func runWarmColdPair(b *testing.B, kind sim.EngineKind, frac float64) (cold, warm *inject.SoCRun, warmMallocs uint64) {
 	b.Helper()
 	opts := inject.DefaultOptions()
 	opts.Engine = kind
@@ -291,7 +297,7 @@ func runWarmColdPair(b *testing.B, kind sim.EngineKind, frac float64) (cold, war
 
 // runWarmColdPairOpts is runWarmColdPair over explicit options (the
 // compare_vcd variant flips the detector).
-func runWarmColdPairOpts(b *testing.B, opts inject.Options) (cold, warm *inject.SoCRun) {
+func runWarmColdPairOpts(b *testing.B, opts inject.Options) (cold, warm *inject.SoCRun, warmMallocs uint64) {
 	b.Helper()
 	cfg, err := socgen.ConfigByIndex(1)
 	if err != nil {
@@ -303,10 +309,17 @@ func runWarmColdPairOpts(b *testing.B, opts inject.Options) (cold, warm *inject.
 	if err != nil {
 		b.Fatal(err)
 	}
-	warm, err = inject.RunSoC(cfg, riscv.MemcpyProgram(16), fault.DefaultDB(), opts)
+	warm, err = inject.PrepareSoC(cfg, riscv.MemcpyProgram(16), fault.DefaultDB(), opts)
 	if err != nil {
 		b.Fatal(err)
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := warm.Campaign.Run(warm.Result); err != nil {
+		b.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	warmMallocs = after.Mallocs - before.Mallocs
 	if len(cold.Result.Injections) != len(warm.Result.Injections) {
 		b.Fatalf("warm/cold injection counts differ: %d vs %d", len(cold.Result.Injections), len(warm.Result.Injections))
 	}
@@ -318,7 +331,7 @@ func runWarmColdPairOpts(b *testing.B, opts inject.Options) (cold, warm *inject.
 	if cold.Result.ChipSER != warm.Result.ChipSER {
 		b.Fatalf("warm/cold chip SER differ: %v vs %v", cold.Result.ChipSER, warm.Result.ChipSER)
 	}
-	return cold, warm
+	return cold, warm, warmMallocs
 }
 
 // stampWall measures the integrity-checksum cost an executor pays per
@@ -357,7 +370,7 @@ func stampWall(b *testing.B, warm *inject.SoCRun) int64 {
 	return best
 }
 
-func reportWarmCold(b *testing.B, key string, cold, warm *inject.SoCRun) {
+func reportWarmCold(b *testing.B, key string, cold, warm *inject.SoCRun, warmMallocs uint64) {
 	b.Helper()
 	cr, wr := cold.Result, warm.Result
 	rep := warmstartReport{
@@ -382,12 +395,16 @@ func reportWarmCold(b *testing.B, key string, cold, warm *inject.SoCRun) {
 	if wr.InjectWall > 0 {
 		rep.WallReductionX = float64(cr.InjectWall) / float64(wr.InjectWall)
 	}
+	if wr.InjectEvals > 0 {
+		rep.AllocsPerEval = float64(warmMallocs) / float64(wr.InjectEvals)
+	}
 	writeWarmstartJSON(b, key, rep)
 	b.ReportMetric(rep.EvalsReductionX, "evals-reduction-x")
 	b.ReportMetric(rep.WallReductionX, "wall-reduction-x")
 	b.ReportMetric(float64(cr.InjectEvals), "cold-inject-evals")
 	b.ReportMetric(float64(wr.InjectEvals), "warm-inject-evals")
 	b.ReportMetric(float64(wr.PrunedRuns), "pruned-runs")
+	b.ReportMetric(rep.AllocsPerEval, "warm-allocs/eval")
 }
 
 // BenchmarkWarmVsCold measures the tentpole perf win: injections that
@@ -396,8 +413,8 @@ func reportWarmCold(b *testing.B, key string, cold, warm *inject.SoCRun) {
 // SoC1 netlist. Verdicts are asserted bit-identical inside the bench.
 func BenchmarkWarmVsCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cold, warm := runWarmColdPair(b, sim.KindEvent, inject.DefaultOptions().SampleFrac)
-		reportWarmCold(b, "eventsim", cold, warm)
+		cold, warm, mallocs := runWarmColdPair(b, sim.KindEvent, inject.DefaultOptions().SampleFrac)
+		reportWarmCold(b, "eventsim", cold, warm, mallocs)
 	}
 }
 
@@ -406,8 +423,8 @@ func BenchmarkWarmVsCold(b *testing.B) {
 // sample fraction is reduced because the cold baseline is much slower.
 func BenchmarkWarmVsColdLevelSim(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cold, warm := runWarmColdPair(b, sim.KindLevel, 0.04)
-		reportWarmCold(b, "levelsim", cold, warm)
+		cold, warm, mallocs := runWarmColdPair(b, sim.KindLevel, 0.04)
+		reportWarmCold(b, "levelsim", cold, warm, mallocs)
 	}
 }
 
@@ -424,11 +441,11 @@ func BenchmarkWarmVsColdVCD(b *testing.B) {
 		opts := inject.DefaultOptions()
 		opts.SampleFrac = 0.08
 		opts.CompareVCD = true
-		cold, warm := runWarmColdPairOpts(b, opts)
+		cold, warm, mallocs := runWarmColdPairOpts(b, opts)
 		if warm.Result.WarmStarts == 0 {
 			b.Fatal("CompareVCD campaign never warm-started")
 		}
-		reportWarmCold(b, "compare_vcd", cold, warm)
+		reportWarmCold(b, "compare_vcd", cold, warm, mallocs)
 	}
 }
 

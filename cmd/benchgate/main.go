@@ -6,13 +6,15 @@
 // an entry whose baseline warm-started stopped warm-starting (the
 // warm-start path silently degrading to cold replay would otherwise show
 // up only as a reduction of ~1x, which a generous margin could mask
-// until the next rebaseline). `make bench-smoke` (and CI through it)
+// until the next rebaseline), or when an entry's allocs_per_eval grew past
+// the allowed fraction above its baseline. `make bench-smoke` (and CI through it)
 // snapshots the committed file before the benchmark overwrites it and
 // runs this gate afterwards.
 //
-// Cell-eval counts are deterministic, so the gate needs no statistical
-// slack for machine noise; the 20% default margin only absorbs legitimate
-// small shifts (e.g. sampling-plan changes moving strikes around).
+// Cell-eval and allocation counts are deterministic to first order, so the
+// gate needs no statistical slack for machine noise; the 20% default
+// margin only absorbs legitimate small shifts (e.g. sampling-plan changes
+// moving strikes around).
 package main
 
 import (
@@ -33,6 +35,7 @@ type benchEntry struct {
 	WarmInjectWall  int64   `json:"warm_inject_wall_ns"`
 	RestoreWall     int64   `json:"restore_wall_ns"`
 	ChecksumWall    int64   `json:"checksum_wall_ns"`
+	AllocsPerEval   float64 `json:"allocs_per_eval"`
 }
 
 // restoreShare is the fraction of warm-injection wall time spent inside
@@ -63,7 +66,7 @@ func (e benchEntry) checksumShare() float64 {
 func main() {
 	baseline := flag.String("baseline", "", "committed benchmark metrics (required)")
 	fresh := flag.String("new", "BENCH_warmstart.json", "freshly generated benchmark metrics")
-	maxRegress := flag.Float64("max-regress", 0.20, "largest tolerated fractional drop of evals_reduction_x, largest tolerated fractional growth of the restore wall share, and the absolute ceiling on the integrity-checksum share of warm wall")
+	maxRegress := flag.Float64("max-regress", 0.20, "largest tolerated fractional drop of evals_reduction_x, largest tolerated fractional growth of the restore wall share and of allocs_per_eval, and the absolute ceiling on the integrity-checksum share of warm wall")
 	flag.Parse()
 	if *baseline == "" {
 		fmt.Fprintln(os.Stderr, "benchgate: -baseline is required")
@@ -134,8 +137,18 @@ func gate(baselinePath, freshPath string, maxRegress float64, out *os.File) erro
 			return fmt.Errorf("%s: checksum share of warm wall %.1f%% exceeds %.0f%% — with -audit-frac=0 the integrity stamp is the whole overhead budget (checksum_wall_ns %d over warm_inject_wall_ns %d)",
 				engine, 100*cShare, 100*maxRegress, g.ChecksumWall, g.WarmInjectWall)
 		}
-		fmt.Fprintf(out, "benchgate: %s ok: evals_reduction_x %.2f vs baseline %.2f (floor %.2f), warm_starts %d, delta_restores %d, restore share %.1f%%, checksum share %.2f%%\n",
-			engine, g.EvalsReductionX, b.EvalsReductionX, floor, g.WarmStarts, g.DeltaRestores, 100*g.restoreShare(), 100*g.checksumShare())
+		// Allocation gate: heap allocations per warm cell eval are a
+		// machine-independent count, so they gate against the baseline
+		// directly. Entries without the field (older baselines) skip it.
+		if b.AllocsPerEval > 0 {
+			ceiling := b.AllocsPerEval * (1 + maxRegress)
+			if g.AllocsPerEval > ceiling {
+				return fmt.Errorf("%s: allocs_per_eval %.4f grew past %.4f (baseline %.4f, max growth %.0f%%) — the engines' warm inner loop started allocating",
+					engine, g.AllocsPerEval, ceiling, b.AllocsPerEval, 100*maxRegress)
+			}
+		}
+		fmt.Fprintf(out, "benchgate: %s ok: evals_reduction_x %.2f vs baseline %.2f (floor %.2f), warm_starts %d, delta_restores %d, restore share %.1f%%, checksum share %.2f%%, allocs_per_eval %.4f vs baseline %.4f\n",
+			engine, g.EvalsReductionX, b.EvalsReductionX, floor, g.WarmStarts, g.DeltaRestores, 100*g.restoreShare(), 100*g.checksumShare(), g.AllocsPerEval, b.AllocsPerEval)
 	}
 	return nil
 }

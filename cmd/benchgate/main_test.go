@@ -169,3 +169,48 @@ func TestGateFailsWhenWarmStartsVanish(t *testing.T) {
 		t.Fatalf("error %q does not name the degraded variant", err)
 	}
 }
+
+func TestGateFailsOnAllocsPerEvalGrowth(t *testing.T) {
+	dir := t.TempDir()
+	base := writeBench(t, dir, "base.json", `{
+	  "eventsim": {"injections": 150, "evals_reduction_x": 12.5, "allocs_per_eval": 0.010}
+	}`)
+	// The engines' inner loop allocating again: allocs per eval jump far
+	// past the 20% margin while the headline reduction is unchanged.
+	fresh := writeBench(t, dir, "fresh.json", `{
+	  "eventsim": {"injections": 150, "evals_reduction_x": 12.5, "allocs_per_eval": 1.6}
+	}`)
+	err := gate(base, fresh, 0.20, os.Stdout)
+	if err == nil {
+		t.Fatal("allocs_per_eval growing 0.010 -> 1.6 must fail the 20% gate")
+	}
+	if !strings.Contains(err.Error(), "allocs_per_eval") {
+		t.Fatalf("error %q does not name allocs_per_eval", err)
+	}
+}
+
+func TestGatePassesAllocsPerEvalWithinMargin(t *testing.T) {
+	dir := t.TempDir()
+	base := writeBench(t, dir, "base.json", `{
+	  "eventsim": {"injections": 150, "evals_reduction_x": 12.5, "allocs_per_eval": 0.010}
+	}`)
+	fresh := writeBench(t, dir, "fresh.json", `{
+	  "eventsim": {"injections": 150, "evals_reduction_x": 12.5, "allocs_per_eval": 0.0115}
+	}`)
+	if err := gate(base, fresh, 0.20, os.Stdout); err != nil {
+		t.Fatalf("0.0115 vs baseline 0.010 is inside the 20%% margin: %v", err)
+	}
+}
+
+func TestGateSkipsAllocsPerEvalWithoutBaselineField(t *testing.T) {
+	dir := t.TempDir()
+	// A legacy baseline has no allocs_per_eval; any fresh value passes.
+	base := writeBench(t, dir, "base.json", baselineJSON)
+	fresh := writeBench(t, dir, "fresh.json", `{
+	  "eventsim": {"injections": 150, "evals_reduction_x": 12.5, "allocs_per_eval": 1.6},
+	  "levelsim": {"injections": 30, "evals_reduction_x": 3.1}
+	}`)
+	if err := gate(base, fresh, 0.20, os.Stdout); err != nil {
+		t.Fatalf("baseline without allocs_per_eval must skip the allocation gate: %v", err)
+	}
+}

@@ -60,11 +60,18 @@ type SeqSpec struct {
 	AsyncResetN string // empty when absent
 	AsyncSetN   string // empty when absent
 	HasQN       bool   // cell drives both Q and QN
+
+	// Input indices of the ports above, resolved once by register so the
+	// simulators' per-eval paths never look a port up by name; -1 when
+	// the port is absent.
+	clkPin, dataPin, enPin, rstNPin, setNPin int
 }
 
 // Def is one library cell. Inputs and Outputs list port names in the order
-// Eval consumes and produces values. For sequential cells Eval is nil and
-// Seq describes the state behaviour instead.
+// Eval consumes and produces values: Eval reads len(Inputs) values from in
+// and writes len(Outputs) values into the caller-owned out, allocating
+// nothing. For sequential cells Eval is nil and Seq describes the state
+// behaviour instead.
 type Def struct {
 	Name    string
 	Class   Class
@@ -73,12 +80,15 @@ type Def struct {
 	Outputs []string
 	DelayPS int64   // intrinsic propagation delay, picoseconds
 	AreaUM2 float64 // layout area, square microns
-	Eval    func(in []logic.V) []logic.V
+	Eval    func(in, out []logic.V)
 	Seq     *SeqSpec
 }
 
 // IsSequential reports whether the cell stores state.
 func (d *Def) IsSequential() bool { return d.Seq != nil }
+
+// ClockPin returns the index within Inputs of a sequential cell's clock.
+func (d *Def) ClockPin() int { return d.Seq.clkPin }
 
 // PortDir reports "input"/"output" for a named port, or an error for an
 // unknown port.
@@ -122,6 +132,16 @@ func register(d *Def) *Def {
 	if _, dup := library[d.Name]; dup {
 		panic("cell: duplicate cell name " + d.Name)
 	}
+	if s := d.Seq; s != nil {
+		s.clkPin = d.InputIndex(s.Clock)
+		s.dataPin = d.InputIndex(s.DataPort)
+		s.enPin = d.InputIndex(s.Enable)
+		s.rstNPin = d.InputIndex(s.AsyncResetN)
+		s.setNPin = d.InputIndex(s.AsyncSetN)
+		if s.clkPin < 0 || s.dataPin < 0 {
+			panic("cell: " + d.Name + " lacks its clock or data input")
+		}
+	}
 	library[d.Name] = d
 	return d
 }
@@ -154,16 +174,16 @@ func Names() []string {
 	return names
 }
 
-func comb1(f func(a logic.V) logic.V) func([]logic.V) []logic.V {
-	return func(in []logic.V) []logic.V { return []logic.V{f(in[0])} }
+func comb1(f func(a logic.V) logic.V) func(in, out []logic.V) {
+	return func(in, out []logic.V) { out[0] = f(in[0]) }
 }
 
-func comb2(f func(a, b logic.V) logic.V) func([]logic.V) []logic.V {
-	return func(in []logic.V) []logic.V { return []logic.V{f(in[0], in[1])} }
+func comb2(f func(a, b logic.V) logic.V) func(in, out []logic.V) {
+	return func(in, out []logic.V) { out[0] = f(in[0], in[1]) }
 }
 
-func reduceN(f func(a, b logic.V) logic.V, invert bool) func([]logic.V) []logic.V {
-	return func(in []logic.V) []logic.V {
+func reduceN(f func(a, b logic.V) logic.V, invert bool) func(in, out []logic.V) {
+	return func(in, out []logic.V) {
 		acc := in[0]
 		for _, v := range in[1:] {
 			acc = f(acc, v)
@@ -171,7 +191,7 @@ func reduceN(f func(a, b logic.V) logic.V, invert bool) func([]logic.V) []logic.
 		if invert {
 			acc = acc.Not()
 		}
-		return []logic.V{acc}
+		out[0] = acc
 	}
 }
 
@@ -249,72 +269,65 @@ func init() {
 		Name: "MUX2X1", Class: Combinational, Rad: RadComb,
 		Inputs: ports("A", "B", "S"), Outputs: ports("Y"),
 		DelayPS: 30, AreaUM2: 3.2,
-		Eval: func(in []logic.V) []logic.V {
-			return []logic.V{logic.Mux(in[2], in[0], in[1])}
-		},
+		Eval: func(in, out []logic.V) { out[0] = logic.Mux(in[2], in[0], in[1]) },
 	})
 	register(&Def{
 		Name: "AOI21X1", Class: Combinational, Rad: RadComb,
 		Inputs: ports("A", "B", "C"), Outputs: ports("Y"),
 		DelayPS: 26, AreaUM2: 2.4,
-		Eval: func(in []logic.V) []logic.V {
-			return []logic.V{logic.Or(logic.And(in[0], in[1]), in[2]).Not()}
-		},
+		Eval: func(in, out []logic.V) { out[0] = logic.Or(logic.And(in[0], in[1]), in[2]).Not() },
 	})
 	register(&Def{
 		Name: "OAI21X1", Class: Combinational, Rad: RadComb,
 		Inputs: ports("A", "B", "C"), Outputs: ports("Y"),
 		DelayPS: 26, AreaUM2: 2.4,
-		Eval: func(in []logic.V) []logic.V {
-			return []logic.V{logic.And(logic.Or(in[0], in[1]), in[2]).Not()}
-		},
+		Eval: func(in, out []logic.V) { out[0] = logic.And(logic.Or(in[0], in[1]), in[2]).Not() },
 	})
 	register(&Def{
 		Name: "AOI22X1", Class: Combinational, Rad: RadComb,
 		Inputs: ports("A", "B", "C", "D"), Outputs: ports("Y"),
 		DelayPS: 30, AreaUM2: 3.0,
-		Eval: func(in []logic.V) []logic.V {
-			return []logic.V{logic.Or(logic.And(in[0], in[1]), logic.And(in[2], in[3])).Not()}
+		Eval: func(in, out []logic.V) {
+			out[0] = logic.Or(logic.And(in[0], in[1]), logic.And(in[2], in[3])).Not()
 		},
 	})
 	register(&Def{
 		Name: "OAI22X1", Class: Combinational, Rad: RadComb,
 		Inputs: ports("A", "B", "C", "D"), Outputs: ports("Y"),
 		DelayPS: 30, AreaUM2: 3.0,
-		Eval: func(in []logic.V) []logic.V {
-			return []logic.V{logic.And(logic.Or(in[0], in[1]), logic.Or(in[2], in[3])).Not()}
+		Eval: func(in, out []logic.V) {
+			out[0] = logic.And(logic.Or(in[0], in[1]), logic.Or(in[2], in[3])).Not()
 		},
 	})
 	register(&Def{
 		Name: "HAX1", Class: Combinational, Rad: RadComb,
 		Inputs: ports("A", "B"), Outputs: ports("S", "CO"),
 		DelayPS: 40, AreaUM2: 4.5,
-		Eval: func(in []logic.V) []logic.V {
-			return []logic.V{logic.Xor(in[0], in[1]), logic.And(in[0], in[1])}
+		Eval: func(in, out []logic.V) {
+			out[0], out[1] = logic.Xor(in[0], in[1]), logic.And(in[0], in[1])
 		},
 	})
 	register(&Def{
 		Name: "FAX1", Class: Combinational, Rad: RadComb,
 		Inputs: ports("A", "B", "CI"), Outputs: ports("S", "CO"),
 		DelayPS: 52, AreaUM2: 6.2,
-		Eval: func(in []logic.V) []logic.V {
+		Eval: func(in, out []logic.V) {
 			a, b, ci := in[0], in[1], in[2]
-			s := logic.Xor(logic.Xor(a, b), ci)
-			co := logic.Or(logic.And(a, b), logic.And(ci, logic.Xor(a, b)))
-			return []logic.V{s, co}
+			out[0] = logic.Xor(logic.Xor(a, b), ci)
+			out[1] = logic.Or(logic.And(a, b), logic.And(ci, logic.Xor(a, b)))
 		},
 	})
 	register(&Def{
 		Name: "TIELO", Class: Combinational, Rad: RadComb,
 		Inputs: nil, Outputs: ports("Y"),
 		DelayPS: 0, AreaUM2: 0.6,
-		Eval: func([]logic.V) []logic.V { return []logic.V{logic.L0} },
+		Eval: func(_, out []logic.V) { out[0] = logic.L0 },
 	})
 	register(&Def{
 		Name: "TIEHI", Class: Combinational, Rad: RadComb,
 		Inputs: nil, Outputs: ports("Y"),
 		DelayPS: 0, AreaUM2: 0.6,
-		Eval: func([]logic.V) []logic.V { return []logic.V{logic.L1} },
+		Eval: func(_, out []logic.V) { out[0] = logic.L1 },
 	})
 
 	// D flip-flop family. The name DFFDEGLX2 matches the database example
@@ -379,19 +392,11 @@ func (d *Def) NextState(state logic.V, in []logic.V) logic.V {
 	if d.Seq == nil {
 		panic("cell: NextState on combinational cell " + d.Name)
 	}
-	s := d.Seq
-	if s.AsyncResetN != "" {
-		if rn := in[d.InputIndex(s.AsyncResetN)]; rn == logic.L0 {
-			return logic.L0
-		}
+	if v, active := d.AsyncState(in); active {
+		return v
 	}
-	if s.AsyncSetN != "" {
-		if sn := in[d.InputIndex(s.AsyncSetN)]; sn == logic.L0 {
-			return logic.L1
-		}
-	}
-	if s.Enable != "" {
-		switch in[d.InputIndex(s.Enable)] {
+	if p := d.Seq.enPin; p >= 0 {
+		switch in[p] {
 		case logic.L0:
 			return state
 		case logic.L1:
@@ -400,7 +405,7 @@ func (d *Def) NextState(state logic.V, in []logic.V) logic.V {
 			return logic.X
 		}
 	}
-	return in[d.InputIndex(s.DataPort)]
+	return in[d.Seq.dataPin]
 }
 
 // AsyncState returns the value forced by asynchronous controls regardless of
@@ -409,23 +414,23 @@ func (d *Def) AsyncState(in []logic.V) (logic.V, bool) {
 	if d.Seq == nil {
 		return logic.X, false
 	}
-	if d.Seq.AsyncResetN != "" && in[d.InputIndex(d.Seq.AsyncResetN)] == logic.L0 {
+	if p := d.Seq.rstNPin; p >= 0 && in[p] == logic.L0 {
 		return logic.L0, true
 	}
-	if d.Seq.AsyncSetN != "" && in[d.InputIndex(d.Seq.AsyncSetN)] == logic.L0 {
+	if p := d.Seq.setNPin; p >= 0 && in[p] == logic.L0 {
 		return logic.L1, true
 	}
 	return logic.X, false
 }
 
-// StateOutputs maps a stored state to the cell's output values (Q and,
-// when present, QN).
-func (d *Def) StateOutputs(state logic.V) []logic.V {
+// StateOutputs writes the cell's output values for a stored state (Q and,
+// when present, QN) into the caller-owned out.
+func (d *Def) StateOutputs(state logic.V, out []logic.V) {
 	if d.Seq == nil {
 		panic("cell: StateOutputs on combinational cell " + d.Name)
 	}
+	out[0] = state
 	if d.Seq.HasQN {
-		return []logic.V{state, state.Not()}
+		out[1] = state.Not()
 	}
-	return []logic.V{state}
 }

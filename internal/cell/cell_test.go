@@ -7,6 +7,31 @@ import (
 	"repro/internal/logic"
 )
 
+// unwritten marks output slots Eval has not written; it is outside the
+// four logic states, so no cell can produce it.
+const unwritten logic.V = 0xff
+
+// evalInto runs d.Eval over in and fails unless it wrote exactly
+// len(d.Outputs) values into the caller's buffer: every declared output
+// slot, and nothing past them.
+func evalInto(t *testing.T, d *Def, in []logic.V) []logic.V {
+	t.Helper()
+	out := make([]logic.V, len(d.Outputs)+1)
+	for i := range out {
+		out[i] = unwritten
+	}
+	d.Eval(in, out)
+	for i, v := range out[:len(d.Outputs)] {
+		if v == unwritten {
+			t.Fatalf("%s%v: Eval left output %s unwritten", d.Name, in, d.Outputs[i])
+		}
+	}
+	if out[len(d.Outputs)] != unwritten {
+		t.Fatalf("%s%v: Eval wrote past its %d outputs", d.Name, in, len(d.Outputs))
+	}
+	return out[:len(d.Outputs)]
+}
+
 func eval(t *testing.T, name string, bits string) []logic.V {
 	t.Helper()
 	d := MustLookup(name)
@@ -17,7 +42,14 @@ func eval(t *testing.T, name string, bits string) []logic.V {
 	if len(in) != len(d.Inputs) {
 		t.Fatalf("%s: %d inputs supplied, cell has %d", name, len(in), len(d.Inputs))
 	}
-	return d.Eval(in)
+	return evalInto(t, d, in)
+}
+
+// stateOutputs is StateOutputs into a fresh buffer sized to the cell.
+func stateOutputs(d *Def, state logic.V) []logic.V {
+	out := make([]logic.V, len(d.Outputs))
+	d.StateOutputs(state, out)
+	return out
 }
 
 func TestLookupUnknown(t *testing.T) {
@@ -107,7 +139,7 @@ func TestFullAdderExhaustive(t *testing.T) {
 	for a := 0; a < 2; a++ {
 		for b := 0; b < 2; b++ {
 			for ci := 0; ci < 2; ci++ {
-				out := d.Eval([]logic.V{logic.FromBool(a == 1), logic.FromBool(b == 1), logic.FromBool(ci == 1)})
+				out := evalInto(t, d, []logic.V{logic.FromBool(a == 1), logic.FromBool(b == 1), logic.FromBool(ci == 1)})
 				sum := a + b + ci
 				if out[0].Bool() != (sum%2 == 1) {
 					t.Errorf("FA S(%d,%d,%d) = %v", a, b, ci, out[0])
@@ -128,10 +160,10 @@ func TestHalfAdder(t *testing.T) {
 }
 
 func TestTieCells(t *testing.T) {
-	if got := MustLookup("TIELO").Eval(nil)[0]; got != logic.L0 {
+	if got := evalInto(t, MustLookup("TIELO"), nil)[0]; got != logic.L0 {
 		t.Errorf("TIELO = %v", got)
 	}
-	if got := MustLookup("TIEHI").Eval(nil)[0]; got != logic.L1 {
+	if got := evalInto(t, MustLookup("TIEHI"), nil)[0]; got != logic.L1 {
 		t.Errorf("TIEHI = %v", got)
 	}
 }
@@ -151,7 +183,7 @@ func TestDFFNextState(t *testing.T) {
 	if got := d.NextState(logic.L0, []logic.V{logic.L1, logic.L1}); got != logic.L1 {
 		t.Errorf("DFF capture = %v, want 1", got)
 	}
-	outs := d.StateOutputs(logic.L1)
+	outs := stateOutputs(d, logic.L1)
 	if outs[0] != logic.L1 || outs[1] != logic.L0 {
 		t.Errorf("DFF outputs = %v", outs)
 	}
@@ -206,7 +238,7 @@ func TestMemoryBitCells(t *testing.T) {
 		if got := d.NextState(logic.L1, []logic.V{logic.L0, logic.L0, logic.L1}); got != logic.L1 {
 			t.Errorf("%s hold failed: %v", name, got)
 		}
-		outs := d.StateOutputs(logic.L1)
+		outs := stateOutputs(d, logic.L1)
 		if len(outs) != 1 || outs[0] != logic.L1 {
 			t.Errorf("%s outputs = %v", name, outs)
 		}
@@ -265,7 +297,7 @@ func TestEveryCellConsistent(t *testing.T) {
 				for i := range in {
 					in[i] = logic.L0
 				}
-				out := d.Eval(in)
+				out := evalInto(t, d, in)
 				if len(out) != len(d.Outputs) {
 					t.Errorf("%s: Eval produced %d outputs, cell declares %d", name, len(out), len(d.Outputs))
 				}
@@ -295,10 +327,72 @@ func TestCombXPropagationSafety(t *testing.T) {
 		for i := range in {
 			in[i] = logic.X
 		}
-		for _, o := range d.Eval(in) {
+		for _, o := range evalInto(t, d, in) {
 			if o == logic.Z {
 				t.Errorf("%s produced Z from X inputs", name)
 			}
+		}
+	}
+}
+
+// TestEvalWritesExactlyItsOutputs drives every combinational cell over
+// every assignment of the four logic states to its inputs: Eval must fill
+// each declared output and nothing past them, and must produce the same
+// values on a reused, dirty output buffer as on a fresh one.
+func TestEvalWritesExactlyItsOutputs(t *testing.T) {
+	states := []logic.V{logic.L0, logic.L1, logic.X, logic.Z}
+	for _, name := range Names() {
+		d := MustLookup(name)
+		if d.IsSequential() {
+			continue
+		}
+		in := make([]logic.V, len(d.Inputs))
+		reused := make([]logic.V, len(d.Outputs))
+		combos := 1
+		for range in {
+			combos *= len(states)
+		}
+		for c := 0; c < combos; c++ {
+			for i, k := 0, c; i < len(in); i, k = i+1, k/len(states) {
+				in[i] = states[k%len(states)]
+			}
+			want := evalInto(t, d, in)
+			d.Eval(in, reused)
+			for i := range want {
+				if reused[i] != want[i] {
+					t.Fatalf("%s%v: output %s is %v on a reused buffer, %v on a fresh one",
+						name, in, d.Outputs[i], reused[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestSeqPinIndices: the pin indices register resolves must equal the
+// name lookups they replace, and absent ports must resolve to -1.
+func TestSeqPinIndices(t *testing.T) {
+	for _, name := range Names() {
+		d := MustLookup(name)
+		if !d.IsSequential() {
+			continue
+		}
+		s := d.Seq
+		for _, p := range []struct {
+			port string
+			got  int
+		}{
+			{s.Clock, s.clkPin},
+			{s.DataPort, s.dataPin},
+			{s.Enable, s.enPin},
+			{s.AsyncResetN, s.rstNPin},
+			{s.AsyncSetN, s.setNPin},
+		} {
+			if want := d.InputIndex(p.port); p.got != want {
+				t.Errorf("%s: pin index of %q = %d, InputIndex says %d", name, p.port, p.got, want)
+			}
+		}
+		if d.ClockPin() != d.InputIndex(s.Clock) {
+			t.Errorf("%s: ClockPin() = %d, want %d", name, d.ClockPin(), d.InputIndex(s.Clock))
 		}
 	}
 }

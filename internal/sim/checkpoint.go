@@ -1,8 +1,9 @@
 package sim
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/logic"
@@ -21,7 +22,9 @@ import (
 // checkpoint and attach a fresh fault action plus tail-only monitors.
 //
 // A Checkpoint is engine-kind specific and safe for concurrent use by any
-// number of restoring engines: Restore copies, it never aliases.
+// number of restoring engines: Restore never writes into it. EventSim
+// copies; LevelSim's agenda aliases action lists capped at their length,
+// so any append reallocates.
 type Checkpoint struct {
 	// Kind is the engine implementation that produced the snapshot.
 	Kind EngineKind
@@ -137,6 +140,15 @@ func (l *levelCheckpoint) actionsAt(i int) []lsAction {
 	return l.tailActions[i-len(l.actions)]
 }
 
+// sharedActionsAt is actionsAt capped at its length, for an engine's
+// agenda to alias instead of copying: the agenda only ever reads its
+// slices or appends to them, and an append to a full slice reallocates,
+// so the checkpoint's storage is never written.
+func (l *levelCheckpoint) sharedActionsAt(i int) []lsAction {
+	acts := l.actionsAt(i)
+	return acts[:len(acts):len(acts)]
+}
+
 func cloneV(v []logic.V) []logic.V { return append([]logic.V(nil), v...) }
 func cloneB(v []bool) []bool       { return append([]bool(nil), v...) }
 
@@ -164,6 +176,31 @@ func equalB(a, b []bool) bool {
 	return true
 }
 
+// cmpCkptEvent orders checkpoint events as the queue does: time, then
+// phase, then sequence number.
+func cmpCkptEvent(a, b ckptEvent) int {
+	return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.phase, b.phase), cmp.Compare(a.seq, b.seq))
+}
+
+// loadQueue replaces the event queue with the checkpoint's events,
+// reusing the heap's backing array. The checkpoint lists them in queue
+// order, so the copy is already a valid heap. An evNet entry the
+// checkpoint does not list as its net's pending transition comes back
+// free, exactly as it was queued.
+func (s *EventSim) loadQueue(e *eventCheckpoint) {
+	s.evts = s.evts[:0]
+	for _, part := range [2][]ckptEvent{e.events, e.tail} {
+		base := len(s.evts)
+		for i, ce := range part {
+			s.evts = append(s.evts, event{
+				t: ce.t, seq: ce.seq, phase: ce.phase, kind: ce.kind,
+				net: int32(ce.net), cellID: int32(ce.cellID), val: ce.val,
+				free: ce.kind == evNet && e.pendingIdx[ce.net] != int32(base+i),
+			})
+		}
+	}
+}
+
 // Snapshot implements Engine.
 func (s *EventSim) Snapshot() *Checkpoint {
 	ev := &eventCheckpoint{
@@ -173,43 +210,28 @@ func (s *EventSim) Snapshot() *Checkpoint {
 		forced:  cloneB(s.forced),
 		state:   cloneV(s.state),
 	}
-	type pair struct {
-		ce  ckptEvent
-		src *event
-	}
-	var pairs []pair
-	for _, e := range s.evts {
-		if e.cancelled || e.kind == evFunc {
+	for i := range s.evts {
+		e := &s.evts[i]
+		if e.kind == evFunc || s.cancelled(e) {
 			continue
 		}
 		ph := uint32(0)
 		if s.running && e.phase >= s.phase {
 			ph = 1
 		}
-		pairs = append(pairs, pair{
-			ce:  ckptEvent{t: e.t, seq: e.seq, phase: ph, kind: e.kind, net: e.net, cellID: e.cellID, val: e.val},
-			src: e,
+		ev.events = append(ev.events, ckptEvent{
+			t: e.t, seq: e.seq, phase: ph, kind: e.kind,
+			net: int(e.net), cellID: int(e.cellID), val: e.val,
 		})
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		a, b := pairs[i].ce, pairs[j].ce
-		if a.t != b.t {
-			return a.t < b.t
-		}
-		if a.phase != b.phase {
-			return a.phase < b.phase
-		}
-		return a.seq < b.seq
-	})
-	ev.events = make([]ckptEvent, len(pairs))
-	ev.pendingIdx = make([]int32, len(s.pending))
+	slices.SortFunc(ev.events, cmpCkptEvent)
+	ev.pendingIdx = make([]int32, len(s.pendSeq))
 	for i := range ev.pendingIdx {
 		ev.pendingIdx[i] = -1
 	}
-	for i, p := range pairs {
-		ev.events[i] = p.ce
-		if p.src.kind == evNet && s.pending[p.src.net] == p.src {
-			ev.pendingIdx[p.src.net] = int32(i)
+	for i, ce := range ev.events {
+		if ce.kind == evNet && s.pendSeq[ce.net] == ce.seq+1 {
+			ev.pendingIdx[ce.net] = int32(i)
 		}
 	}
 	return &Checkpoint{
@@ -243,28 +265,32 @@ func (s *EventSim) Restore(ck *Checkpoint) error {
 	s.running = false
 	s.cellEvals = ck.Evals
 	s.cbs = map[int][]NetCallback{}
-	for i := range s.pending {
-		s.pending[i] = nil
-	}
-	s.evts = make(eventHeap, e.numEvents())
-	if cap(s.restoredEvts) < e.numEvents() {
-		s.restoredEvts = make([]*event, e.numEvents())
-	}
-	s.restoredEvts = s.restoredEvts[:e.numEvents()]
-	for i := range s.evts {
-		ce := e.eventAt(i)
-		ev := &event{t: ce.t, seq: ce.seq, phase: ce.phase, kind: ce.kind, net: ce.net, cellID: ce.cellID, val: ce.val, ckIdx: int32(i)}
-		s.evts[i] = ev
-		s.restoredEvts[i] = ev
-	}
+	s.resetFns()
+	s.loadQueue(e)
 	for nid, idx := range e.pendingIdx {
-		if idx >= 0 {
-			s.pending[nid] = s.evts[idx]
-		}
+		s.relinkPending(e, nid, idx)
 	}
-	heap.Init(&s.evts)
 	s.armDeltaTracking(ck)
 	return nil
+}
+
+// relinkPending sets net nid's pending tag to the checkpoint event at
+// idx, or clears it when idx is -1.
+func (s *EventSim) relinkPending(e *eventCheckpoint, nid int, idx int32) {
+	if idx < 0 {
+		s.pendSeq[nid] = 0
+		return
+	}
+	ce := e.eventAt(int(idx))
+	s.pendSeq[nid] = ce.seq + 1
+	s.pendVal[nid] = ce.val
+}
+
+// resetFns drops the At callbacks; restores discard them, and no evFunc
+// event survives a restore.
+func (s *EventSim) resetFns() {
+	clear(s.fns)
+	s.fns = s.fns[:0]
 }
 
 // armDeltaTracking resets the dirty sets after a full restore, making ck
@@ -286,59 +312,28 @@ func (s *EventSim) armDeltaTracking(ck *Checkpoint) {
 }
 
 // RestoreDelta implements Engine. When ck is the checkpoint this engine
-// most recently restored, only the nets, cells and queue entries touched
-// since that restore are rewritten: untouched state and still-queued
-// checkpoint events are provably already equal to a full Restore's output
-// (every mutation path records its target in the dirty sets, and queue
-// entries only leave by being consumed or cancelled — both tracked via
-// their checkpoint index). Any other checkpoint falls back to Restore.
+// most recently restored, only the nets and cells touched since that
+// restore are rewritten: untouched state is provably already equal to a
+// full Restore's output, because every mutation path records its target
+// in the dirty sets — cancelling a pending transition included, since
+// that is a store into the net's pending tag. The queue is recopied
+// whole: events are held by value and the checkpoint lists them in heap
+// order, so a straight copy is cheaper than finding and repairing the
+// entries the tail consumed, cancelled or added. Any other checkpoint
+// falls back to Restore.
 func (s *EventSim) RestoreDelta(ck *Checkpoint) error {
 	if s.lastRestored != ck {
 		return s.Restore(ck)
 	}
 	e := ck.ev
-	// Queue: retain live checkpoint events in place, drop post-restore
-	// additions and cancelled entries, and re-materialize the consumed or
-	// cancelled originals from the checkpoint.
-	n := e.numEvents()
-	if cap(s.present) < n {
-		s.present = make([]bool, n)
-	}
-	s.present = s.present[:n]
-	for i := range s.present {
-		s.present[i] = false
-	}
-	live := s.evts[:0]
-	for _, ev := range s.evts {
-		if ev.ckIdx >= 0 && !ev.cancelled {
-			s.present[ev.ckIdx] = true
-			live = append(live, ev)
-		}
-	}
-	for i := len(live); i < len(s.evts); i++ {
-		s.evts[i] = nil
-	}
-	s.evts = live
-	for i := 0; i < n; i++ {
-		if !s.present[i] {
-			ce := e.eventAt(i)
-			ev := &event{t: ce.t, seq: ce.seq, phase: ce.phase, kind: ce.kind, net: ce.net, cellID: ce.cellID, val: ce.val, ckIdx: int32(i)}
-			s.restoredEvts[i] = ev
-			s.evts = append(s.evts, ev)
-		}
-	}
-	heap.Init(&s.evts)
-	// State: rewrite only the dirty entries, relinking pending transitions
-	// through the refreshed event pointers.
+	s.loadQueue(e)
+	// State: rewrite only the dirty entries, relinking pending tags from
+	// the checkpoint.
 	for _, nid := range s.dirtyNets {
 		s.cur[nid] = e.cur[nid]
 		s.driven[nid] = e.driven[nid]
 		s.forced[nid] = e.forced[nid]
-		if idx := e.pendingIdx[nid]; idx >= 0 {
-			s.pending[nid] = s.restoredEvts[idx]
-		} else {
-			s.pending[nid] = nil
-		}
+		s.relinkPending(e, int(nid), e.pendingIdx[nid])
 		s.netDirty[nid] = false
 	}
 	s.dirtyNets = s.dirtyNets[:0]
@@ -353,6 +348,7 @@ func (s *EventSim) RestoreDelta(ck *Checkpoint) error {
 	s.running = false
 	s.cellEvals = ck.Evals
 	clear(s.cbs)
+	s.resetFns()
 	return nil
 }
 
@@ -373,29 +369,22 @@ func (s *EventSim) MatchesCheckpoint(ck *Checkpoint) bool {
 		!equalB(s.forced, e.forced) || !equalV(s.state, e.state) {
 		return false
 	}
-	live := make([]*event, 0, e.numEvents())
-	for _, le := range s.evts {
-		if le.cancelled || le.kind == evFunc {
-			continue
+	live := s.live[:0]
+	for i := range s.evts {
+		if le := &s.evts[i]; le.kind != evFunc && !s.cancelled(le) {
+			live = append(live, *le)
 		}
-		live = append(live, le)
 	}
+	s.live = live
 	if len(live) != e.numEvents() {
 		return false
 	}
-	sort.Slice(live, func(i, j int) bool {
-		a, b := live[i], live[j]
-		if a.t != b.t {
-			return a.t < b.t
-		}
-		if a.phase != b.phase {
-			return a.phase < b.phase
-		}
-		return a.seq < b.seq
+	slices.SortFunc(live, func(a, b event) int {
+		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.phase, b.phase), cmp.Compare(a.seq, b.seq))
 	})
-	for i, le := range live {
-		ce := e.eventAt(i)
-		if le.t != ce.t || le.kind != ce.kind || le.net != ce.net || le.cellID != ce.cellID || le.val != ce.val {
+	for i := range live {
+		le, ce := &live[i], e.eventAt(i)
+		if le.t != ce.t || le.kind != ce.kind || int(le.net) != ce.net || int(le.cellID) != ce.cellID || le.val != ce.val {
 			return false
 		}
 	}
@@ -462,15 +451,19 @@ func (s *LevelSim) Restore(ck *Checkpoint) error {
 	s.cbs = map[int][]NetCallback{}
 	s.cbNets = nil
 	s.agenda = make(map[uint64][]lsAction, lv.numTimes())
-	s.times = s.times[:0]
 	for i := 0; i < lv.numTimes(); i++ {
-		t := lv.timeAt(i)
-		s.agenda[t] = append([]lsAction(nil), lv.actionsAt(i)...)
-		s.times = append(s.times, t)
+		s.agenda[lv.timeAt(i)] = lv.sharedActionsAt(i)
 	}
-	heap.Init(&s.times)
+	s.loadTimes(lv)
 	s.armDeltaTracking(ck)
 	return nil
+}
+
+// loadTimes replaces the agenda-time heap with the checkpoint's times,
+// reusing its backing array. They are strictly ascending, so the copy is
+// already a valid heap.
+func (s *LevelSim) loadTimes(lv *levelCheckpoint) {
+	s.times = append(append(s.times[:0], lv.times...), lv.tailTimes...)
 }
 
 // armDeltaTracking resets the dirty sets after a full restore, making ck
@@ -535,7 +528,7 @@ func (s *LevelSim) RestoreDelta(ck *Checkpoint) error {
 	// untouched clones the last full restore made.
 	restoreTime := func(t uint64) {
 		if i := ckTimeIndex(lv, t); i >= 0 {
-			s.agenda[t] = append([]lsAction(nil), lv.actionsAt(i)...)
+			s.agenda[t] = lv.sharedActionsAt(i)
 		} else {
 			delete(s.agenda, t)
 		}
@@ -548,11 +541,8 @@ func (s *LevelSim) RestoreDelta(ck *Checkpoint) error {
 		restoreTime(t)
 	}
 	s.consumedTimes = s.consumedTimes[:0]
-	s.times = s.times[:0]
-	for t := range s.agenda {
-		s.times = append(s.times, t)
-	}
-	heap.Init(&s.times)
+	// The repaired agenda holds exactly the checkpoint's times again.
+	s.loadTimes(lv)
 	s.now = ck.TimePS
 	s.cellEvals = ck.Evals
 	clear(s.cbs)
@@ -583,28 +573,33 @@ func (s *LevelSim) MatchesCheckpoint(ck *Checkpoint) bool {
 	}
 	seen := 0
 	for t, acts := range s.agenda {
-		var data []lsAction
+		data := 0
 		for _, a := range acts {
 			if a.kind != lsFunc {
-				data = append(data, a)
+				data++
 			}
 		}
-		if len(data) == 0 {
+		if data == 0 {
 			continue
 		}
-		idx := sort.Search(lv.numTimes(), func(i int) bool { return lv.timeAt(i) >= t })
-		if idx >= lv.numTimes() || lv.timeAt(idx) != t {
+		idx := ckTimeIndex(lv, t)
+		if idx < 0 {
 			return false
 		}
 		want := lv.actionsAt(idx)
-		if len(data) != len(want) {
+		if data != len(want) {
 			return false
 		}
-		for i, a := range data {
+		i := 0
+		for _, a := range acts {
+			if a.kind == lsFunc {
+				continue
+			}
 			w := want[i]
 			if a.kind != w.kind || a.net != w.net || a.cellID != w.cellID || a.val != w.val {
 				return false
 			}
+			i++
 		}
 		seen++
 	}

@@ -238,3 +238,58 @@ func TestRestoreKindAndDesignMismatch(t *testing.T) {
 		t.Error("nil checkpoint accepted")
 	}
 }
+
+// TestRestoredEnginesScheduleIndependently: engines restored from one
+// checkpoint must not share schedule storage. Each schedules a different
+// value at a time the checkpoint already holds several actions for, and
+// each must then see only its own.
+func TestRestoredEnginesScheduleIndependently(t *testing.T) {
+	for name, mk := range engines(t) {
+		t.Run(name, func(t *testing.T) {
+			const last = 12
+			prod := mk()
+			setupCounter(t, prod, last*period)
+			rstn := netID(t, prod.Flat(), "rstn")
+			// Time 6000 holds the clock edge plus two reset deasserts.
+			for i := 0; i < 2; i++ {
+				if err := prod.ScheduleInput(6000, rstn, logic.L1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var ck *Checkpoint
+			prod.At(4500, func() { ck = prod.Snapshot() })
+			if err := prod.Run(last * period); err != nil {
+				t.Fatal(err)
+			}
+
+			reset, free := mk(), mk()
+			for _, e := range []Engine{reset, free} {
+				if err := e.Restore(ck); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Scheduled in this order, the free-running engine's action
+			// would overwrite the reset in any storage the two shared.
+			if err := reset.ScheduleInput(6000, rstn, logic.L0); err != nil {
+				t.Fatal(err)
+			}
+			if err := free.ScheduleInput(6000, rstn, logic.L1); err != nil {
+				t.Fatal(err)
+			}
+			if err := reset.Run(6990); err != nil {
+				t.Fatal(err)
+			}
+			if err := free.Run(6990); err != nil {
+				t.Fatal(err)
+			}
+			f := reset.Flat()
+			q0, q1 := netID(t, f, "q0"), netID(t, f, "q1")
+			if got := fmt.Sprintf("%v%v", reset.Value(q1), reset.Value(q0)); got != "00" {
+				t.Fatalf("engine reset at 6000 reads %s at 6990, want 00", got)
+			}
+			if reset.Value(rstn) != logic.L0 || free.Value(rstn) != logic.L1 {
+				t.Fatalf("rstn reads %v and %v, want 0 and 1", reset.Value(rstn), free.Value(rstn))
+			}
+		})
+	}
+}

@@ -205,6 +205,12 @@ func decodeEventCheckpoint(d *decoder, nets, cells int) *eventCheckpoint {
 			d.fail(fmt.Errorf("sim: checkpoint event %d has invalid logic value %d", i, ce.val))
 			return nil
 		}
+		// Restore copies the list straight into the engine's heap, which
+		// is only valid in strict queue order.
+		if i > 0 && cmpCkptEvent(ev.events[i-1], *ce) >= 0 {
+			d.fail(fmt.Errorf("sim: checkpoint event %d is out of queue order", i))
+			return nil
+		}
 	}
 	np := d.count("pendingIdx")
 	if d.err != nil {

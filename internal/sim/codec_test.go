@@ -190,3 +190,19 @@ func TestCodecRejectsMismatchedDesign(t *testing.T) {
 		t.Fatal("decoded checkpoint accepted a mismatched design")
 	}
 }
+
+func TestCodecRejectsUnorderedEvents(t *testing.T) {
+	ck := produceCheckpoint(t, engines(t)["EventSim"])
+	ev := *ck.ev
+	ev.events = append(append([]ckptEvent(nil), ev.events...), ev.tail...)
+	ev.tail = nil
+	if len(ev.events) < 2 {
+		t.Fatal("checkpoint queues fewer than two events")
+	}
+	ev.events[0], ev.events[1] = ev.events[1], ev.events[0]
+	bad := *ck
+	bad.ev = &ev
+	if _, err := DecodeCheckpoint(bytes.NewReader(encode(t, &bad))); err == nil {
+		t.Fatal("decode accepted events out of queue order")
+	}
+}

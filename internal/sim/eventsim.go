@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/logic"
@@ -26,6 +25,7 @@ type EventSim struct {
 	phase   uint32
 	running bool
 	evts    eventHeap
+	fns     []func() // At callbacks, indexed by event.fn; nil once run
 
 	cur    []logic.V // present value of each net
 	driven []logic.V // value the driver wants (differs from cur under force)
@@ -33,24 +33,29 @@ type EventSim struct {
 
 	state []logic.V // per-cell sequential state (X for comb cells)
 
-	pending []*event // per-net pending inertial transition (may be nil)
+	// pendSeq and pendVal tag each net's pending inertial transition as
+	// (seq+1, value); pendSeq is 0 when none is in flight. An evNet event
+	// whose seq+1 no longer matches its net's tag was cancelled, so
+	// cancelling is a store into pendSeq.
+	pendSeq []uint64
+	pendVal []logic.V
 
 	cbs       map[int][]NetCallback
 	cellEvals uint64
 
+	// Per-eval scratch: a cell's gathered inputs and computed outputs.
+	in, out []logic.V
+
 	// Delta-restore tracking, active once the engine has restored a
 	// checkpoint: every net or cell mutated since the last restore is
 	// recorded exactly once, so RestoreDelta can rewrite only those
-	// entries. restoredEvts is parallel to lastRestored's combined event
-	// list (live pointer per checkpoint index); present is RestoreDelta's
-	// reusable scratch.
+	// entries. live is MatchesCheckpoint's reusable scratch.
 	lastRestored *Checkpoint
 	netDirty     []bool
 	cellDirty    []bool
 	dirtyNets    []int32
 	dirtyCells   []int32
-	restoredEvts []*event
-	present      []bool
+	live         []event
 }
 
 type evKind uint8
@@ -64,44 +69,87 @@ const (
 	evFunc
 )
 
+// event is one queued action, held by value in the heap; it holds no
+// pointers, so the queue costs the garbage collector nothing.
 type event struct {
-	t         uint64
-	seq       uint64
-	phase     uint32
-	kind      evKind
-	net       int
-	cellID    int
-	val       logic.V
-	fn        func()
-	cancelled bool
-	// ckIdx is the event's index in the last-restored checkpoint's event
-	// list, or -1 for events scheduled since (dynamically or by a caller).
-	// RestoreDelta uses it to tell retained checkpoint events apart from
-	// post-restore additions without a lookup structure.
-	ckIdx int32
+	t      uint64
+	seq    uint64
+	phase  uint32
+	net    int32
+	cellID int32
+	fn     int32 // index into EventSim.fns for evFunc
+	kind   evKind
+	val    logic.V
+	// free marks an evNet transition that is not (or no longer) its net's
+	// tagged pending transition and so cannot be cancelled: the t=0
+	// seeding of tie cells and zero-initialized storage, a restored event
+	// the checkpoint did not list as pending, or a transition orphaned
+	// when such an event fired first and cleared the net's tag.
+	free bool
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+// before is the queue order: time, then phase, then sequence number.
+func (a *event) before(b *event) bool {
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	if h[i].phase != h[j].phase {
-		return h[i].phase < h[j].phase
+	if a.phase != b.phase {
+		return a.phase < b.phase
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
+
+// eventHeap is a binary min-heap of events under before.
+type eventHeap []event
+
+func (h eventHeap) up(j int) {
+	e := h[j]
+	for j > 0 {
+		p := (j - 1) / 2
+		if !e.before(&h[p]) {
+			break
+		}
+		h[j] = h[p]
+		j = p
+	}
+	h[j] = e
+}
+
+func (h eventHeap) down(i int) {
+	n := len(h)
+	e := h[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&e) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = e
+}
+
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	h.up(len(*h) - 1)
+}
+
+func (h *eventHeap) pop() event {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+	top := old[0]
+	n := len(old) - 1
+	old[0] = old[n]
+	*h = old[:n]
+	if n > 0 {
+		h.down(0)
+	}
+	return top
 }
 
 // NewEventSim returns an event-driven engine with all nets and states at X.
@@ -112,9 +160,11 @@ func NewEventSim(f *netlist.Flat) *EventSim {
 		driven:  make([]logic.V, len(f.Nets)),
 		forced:  make([]bool, len(f.Nets)),
 		state:   make([]logic.V, len(f.Cells)),
-		pending: make([]*event, len(f.Nets)),
+		pendSeq: make([]uint64, len(f.Nets)),
+		pendVal: make([]logic.V, len(f.Nets)),
 		cbs:     map[int][]NetCallback{},
 	}
+	s.in, s.out = pinBuffers(f)
 	for i := range s.cur {
 		s.cur[i] = logic.X
 		s.driven[i] = logic.X
@@ -122,14 +172,18 @@ func NewEventSim(f *netlist.Flat) *EventSim {
 	for i := range s.state {
 		s.state[i] = logic.X
 	}
+	// The t=0 seeding transitions below are free: they are not their
+	// nets' pending transitions, so nothing scheduled before they fire
+	// cancels them.
 	for _, c := range f.Cells {
 		switch {
 		case !c.Def.IsSequential() && len(c.Def.Inputs) == 0:
 			// Tie cells have no inputs and never receive a triggering
 			// event; seed their constant outputs at time zero.
-			out := c.Def.Eval(nil)
+			out := s.out[:len(c.Out)]
+			c.Def.Eval(nil, out)
 			for i, nid := range c.Out {
-				s.schedule(&event{t: 0, kind: evNet, net: nid, val: out[i]})
+				s.schedule(event{kind: evNet, net: int32(nid), val: out[i], free: true})
 			}
 		case initZeroState(c):
 			// Storage without an asynchronous control (memory bits,
@@ -139,9 +193,10 @@ func NewEventSim(f *netlist.Flat) *EventSim {
 			// reference, and X-circulating feedback loops would otherwise
 			// mask most upsets.
 			s.state[c.ID] = logic.L0
-			outs := c.Def.StateOutputs(logic.L0)
+			out := s.out[:len(c.Out)]
+			c.Def.StateOutputs(logic.L0, out)
 			for i, nid := range c.Out {
-				s.schedule(&event{t: 0, kind: evNet, net: nid, val: outs[i]})
+				s.schedule(event{kind: evNet, net: int32(nid), val: out[i], free: true})
 			}
 		}
 	}
@@ -178,12 +233,18 @@ func (s *EventSim) State(cellID int) (logic.V, error) {
 // CellEvals implements Engine.
 func (s *EventSim) CellEvals() uint64 { return s.cellEvals }
 
-func (s *EventSim) schedule(e *event) {
+func (s *EventSim) schedule(e event) {
 	e.seq = s.seq
 	e.phase = s.phase
-	e.ckIdx = -1
 	s.seq++
-	heap.Push(&s.evts, e)
+	s.evts.push(e)
+}
+
+// cancelled reports whether an evNet event lost its net's pending tag to
+// a later transition (or to the cancellation that restored the driven
+// value). Free events are never cancelled.
+func (s *EventSim) cancelled(e *event) bool {
+	return e.kind == evNet && !e.free && s.pendSeq[e.net] != e.seq+1
 }
 
 // touchNet records that a net's simulation state (value, driver, force or
@@ -209,18 +270,18 @@ func (s *EventSim) ScheduleInput(t uint64, net int, v logic.V) error {
 	if err := validateInput(s.flat, net); err != nil {
 		return err
 	}
-	s.schedule(&event{t: t, kind: evInput, net: net, val: v})
+	s.schedule(event{t: t, kind: evInput, net: int32(net), val: v})
 	return nil
 }
 
 // ScheduleForce implements Engine.
 func (s *EventSim) ScheduleForce(t uint64, net int, v logic.V) {
-	s.schedule(&event{t: t, kind: evForce, net: net, val: v})
+	s.schedule(event{t: t, kind: evForce, net: int32(net), val: v})
 }
 
 // ScheduleRelease implements Engine.
 func (s *EventSim) ScheduleRelease(t uint64, net int) {
-	s.schedule(&event{t: t, kind: evRelease, net: net})
+	s.schedule(event{t: t, kind: evRelease, net: int32(net)})
 }
 
 // ScheduleFlip implements Engine.
@@ -228,13 +289,14 @@ func (s *EventSim) ScheduleFlip(t uint64, cellID int) error {
 	if err := validateSeqCell(s.flat, cellID); err != nil {
 		return err
 	}
-	s.schedule(&event{t: t, kind: evFlip, cellID: cellID})
+	s.schedule(event{t: t, kind: evFlip, cellID: int32(cellID)})
 	return nil
 }
 
 // At implements Engine.
 func (s *EventSim) At(t uint64, fn func()) {
-	s.schedule(&event{t: t, kind: evFunc, fn: fn})
+	s.fns = append(s.fns, fn)
+	s.schedule(event{t: t, kind: evFunc, fn: int32(len(s.fns) - 1)})
 }
 
 // OnNetChange implements Engine.
@@ -251,23 +313,12 @@ func (s *EventSim) FlipState(cellID int) error {
 	return nil
 }
 
+// applyFlip corrupts the storage node directly: outputs follow with the
+// cell's propagation delay, as in the paper's SEU model (Fig. 2).
 func (s *EventSim) applyFlip(cellID int) {
-	c := s.flat.Cells[cellID]
 	s.touchCell(cellID)
 	s.state[cellID] = s.state[cellID].Not()
-	outs := c.Def.StateOutputs(s.state[cellID])
-	// An upset corrupts the storage node directly: outputs follow with the
-	// cell's propagation delay, as in the paper's SEU model (Fig. 2).
-	for i, nid := range c.Out {
-		s.scheduleNetTransition(nid, outs[i], c.Def.DelayPS)
-	}
-}
-
-// scheduleNetTransition applies the inertial-delay rule for a driver that
-// now wants value v on net nid after delay d; sequential outputs follow the
-// same rule as combinational ones.
-func (s *EventSim) scheduleNetTransition(nid int, v logic.V, d int64) {
-	s.scheduleCombOutput(nid, v, d)
+	s.pushSeqOutputs(s.flat.Cells[cellID])
 }
 
 // Run implements Engine.
@@ -275,53 +326,70 @@ func (s *EventSim) Run(until uint64) error {
 	s.phase++
 	s.running = true
 	defer func() { s.running = false }()
-	for s.evts.Len() > 0 {
-		e := s.evts[0]
-		if e.t > until {
-			break
-		}
-		heap.Pop(&s.evts)
-		if e.cancelled {
+	for len(s.evts) > 0 && s.evts[0].t <= until {
+		e := s.evts.pop()
+		if s.cancelled(&e) {
 			continue
 		}
 		if e.t < s.now {
 			return fmt.Errorf("sim: event time %d before now %d", e.t, s.now)
 		}
 		s.now = e.t
+		net := int(e.net)
 		switch e.kind {
 		case evNet:
-			s.touchNet(e.net)
-			s.pending[e.net] = nil
-			s.driven[e.net] = e.val
-			if !s.forced[e.net] {
-				s.setNet(e.net, e.val)
+			s.touchNet(net)
+			if tag := s.pendSeq[net]; tag != 0 && tag != e.seq+1 {
+				s.orphanPending(net)
+			}
+			s.pendSeq[net] = 0
+			s.driven[net] = e.val
+			if !s.forced[net] {
+				s.setNet(net, e.val)
 			}
 		case evInput:
-			s.touchNet(e.net)
-			s.driven[e.net] = e.val
-			if !s.forced[e.net] {
-				s.setNet(e.net, e.val)
+			s.touchNet(net)
+			s.driven[net] = e.val
+			if !s.forced[net] {
+				s.setNet(net, e.val)
 			}
 		case evForce:
-			s.touchNet(e.net)
-			s.forced[e.net] = true
-			s.setNet(e.net, e.val)
+			s.touchNet(net)
+			s.forced[net] = true
+			s.setNet(net, e.val)
 		case evRelease:
-			if s.forced[e.net] {
-				s.touchNet(e.net)
-				s.forced[e.net] = false
-				s.setNet(e.net, s.driven[e.net])
+			if s.forced[net] {
+				s.touchNet(net)
+				s.forced[net] = false
+				s.setNet(net, s.driven[net])
 			}
 		case evFlip:
-			s.applyFlip(e.cellID)
+			s.applyFlip(int(e.cellID))
 		case evFunc:
-			e.fn()
+			fn := s.fns[e.fn]
+			s.fns[e.fn] = nil
+			fn()
 		}
 	}
 	if until > s.now {
 		s.now = until
 	}
 	return nil
+}
+
+// orphanPending frees the net's pending transition when a free event on
+// the same net fires first: firing clears the net's tag, and the
+// transition still in flight stays live without being cancellable. Only
+// free events get here, and they occur at t=0 seeding (or in checkpoints
+// taken before it ran), so the linear scan is off the hot path.
+func (s *EventSim) orphanPending(net int) {
+	tag := s.pendSeq[net]
+	for i := range s.evts {
+		if e := &s.evts[i]; e.kind == evNet && int(e.net) == net && !e.free && e.seq+1 == tag {
+			e.free = true
+			return
+		}
+	}
 }
 
 // setNet commits a value change and triggers fanout evaluation.
@@ -344,15 +412,18 @@ func (s *EventSim) evalCell(cid, pin int, old, new logic.V) {
 	s.cellEvals++
 	c := s.flat.Cells[cid]
 	def := c.Def
+	in := s.in[:len(c.In)]
+	for i, nid := range c.In {
+		in[i] = s.cur[nid]
+	}
 	if !def.IsSequential() {
-		in := s.gatherInputs(c)
-		out := def.Eval(in)
+		out := s.out[:len(c.Out)]
+		def.Eval(in, out)
 		for i, nid := range c.Out {
 			s.scheduleCombOutput(nid, out[i], def.DelayPS)
 		}
 		return
 	}
-	in := s.gatherInputs(c)
 	// Asynchronous controls dominate and act on any input change.
 	if v, active := def.AsyncState(in); active {
 		if s.state[cid] != v {
@@ -363,7 +434,7 @@ func (s *EventSim) evalCell(cid, pin int, old, new logic.V) {
 		return
 	}
 	// A rising edge on the clock pin captures.
-	clkPin := def.InputIndex(def.Seq.Clock)
+	clkPin := def.ClockPin()
 	if pin == clkPin && old == logic.L0 && new == logic.L1 {
 		next := def.NextState(s.state[cid], in)
 		if next != s.state[cid] {
@@ -385,22 +456,25 @@ func (s *EventSim) evalCell(cid, pin int, old, new logic.V) {
 	}
 }
 
+// pushSeqOutputs schedules a sequential cell's outputs for its present
+// state; they follow the same inertial rule as combinational outputs.
 func (s *EventSim) pushSeqOutputs(c *netlist.FlatCell) {
-	outs := c.Def.StateOutputs(s.state[c.ID])
+	out := s.out[:len(c.Out)]
+	c.Def.StateOutputs(s.state[c.ID], out)
 	for i, nid := range c.Out {
-		s.scheduleNetTransition(nid, outs[i], c.Def.DelayPS)
+		s.scheduleCombOutput(nid, out[i], c.Def.DelayPS)
 	}
 }
 
-// scheduleCombOutput implements the inertial rule for combinational outputs:
-// a newly computed value replaces any in-flight transition on the same net.
+// scheduleCombOutput implements the inertial rule for a driver that now
+// wants value v on net nid after delay d: a newly computed value replaces
+// any in-flight transition on the same net.
 func (s *EventSim) scheduleCombOutput(nid int, v logic.V, d int64) {
-	if p := s.pending[nid]; p != nil {
-		if p.val == v {
+	if s.pendSeq[nid] != 0 {
+		if s.pendVal[nid] == v {
 			return // in-flight transition already produces v
 		}
-		p.cancelled = true
-		s.pending[nid] = nil
+		s.pendSeq[nid] = 0 // cancels the in-flight transition
 		s.touchNet(nid)
 		if v == s.driven[nid] {
 			return // cancellation restored the present driven value
@@ -408,16 +482,8 @@ func (s *EventSim) scheduleCombOutput(nid int, v logic.V, d int64) {
 	} else if v == s.driven[nid] {
 		return
 	}
-	e := &event{t: s.now + uint64(d), kind: evNet, net: nid, val: v}
-	s.pending[nid] = e
+	s.pendSeq[nid] = s.seq + 1
+	s.pendVal[nid] = v
 	s.touchNet(nid)
-	s.schedule(e)
-}
-
-func (s *EventSim) gatherInputs(c *netlist.FlatCell) []logic.V {
-	in := make([]logic.V, len(c.In))
-	for i, nid := range c.In {
-		in[i] = s.cur[nid]
-	}
-	return in
+	s.schedule(event{t: s.now + uint64(d), kind: evNet, net: int32(nid), val: v})
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -38,6 +37,14 @@ type LevelSim struct {
 	cbNets    []int // nets having callbacks, sorted, for deterministic firing
 	cellEvals uint64
 
+	// Per-step scratch, so a step allocates nothing: a cell's gathered
+	// inputs and computed outputs, the step's callbacks, the phase-1
+	// captures and the committed nets that have callbacks.
+	in, out []logic.V
+	fns     []func()
+	caps    []capture
+	changed []int
+
 	// Delta-restore tracking, active once the engine has restored a
 	// checkpoint: dirty nets/cells are the per-net and per-cell state
 	// mutated since the last restore; touchedTimes are agenda times
@@ -70,18 +77,63 @@ type lsAction struct {
 	fn     func()
 }
 
+// capture is a phase-1 flip-flop update: the cell and its next state.
+type capture struct {
+	cell int
+	next logic.V
+}
+
+// timeHeap is a binary min-heap of agenda times.
 type timeHeap []uint64
 
-func (h timeHeap) Len() int            { return len(h) }
-func (h timeHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h timeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *timeHeap) Push(x interface{}) { *h = append(*h, x.(uint64)) }
-func (h *timeHeap) Pop() interface{} {
+func (h timeHeap) up(j int) {
+	t := h[j]
+	for j > 0 {
+		p := (j - 1) / 2
+		if t >= h[p] {
+			break
+		}
+		h[j] = h[p]
+		j = p
+	}
+	h[j] = t
+}
+
+func (h timeHeap) down(i int) {
+	n := len(h)
+	t := h[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r] < h[c] {
+			c = r
+		}
+		if h[c] >= t {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = t
+}
+
+func (h *timeHeap) push(t uint64) {
+	*h = append(*h, t)
+	h.up(len(*h) - 1)
+}
+
+func (h *timeHeap) pop() uint64 {
 	old := *h
-	n := len(old)
-	t := old[n-1]
-	*h = old[:n-1]
-	return t
+	top := old[0]
+	n := len(old) - 1
+	old[0] = old[n]
+	*h = old[:n]
+	if n > 0 {
+		h.down(0)
+	}
+	return top
 }
 
 // NewLevelSim returns a levelized engine with all nets and states at X.
@@ -98,6 +150,7 @@ func NewLevelSim(f *netlist.Flat) *LevelSim {
 		prevClk:   make([]logic.V, len(f.Cells)),
 		cbs:       map[int][]NetCallback{},
 	}
+	s.in, s.out = pinBuffers(f)
 	for i := range s.cur {
 		s.cur[i] = logic.X
 		s.inputVal[i] = logic.X
@@ -150,7 +203,7 @@ func (s *LevelSim) CellEvals() uint64 { return s.cellEvals }
 
 func (s *LevelSim) at(t uint64, a lsAction) {
 	if _, ok := s.agenda[t]; !ok {
-		heap.Push(&s.times, t)
+		s.times.push(t)
 	}
 	s.agenda[t] = append(s.agenda[t], a)
 	if s.lastRestored != nil {
@@ -232,8 +285,8 @@ func (s *LevelSim) FlipState(cellID int) error {
 
 // Run implements Engine.
 func (s *LevelSim) Run(until uint64) error {
-	for s.times.Len() > 0 && s.times[0] <= until {
-		t := heap.Pop(&s.times).(uint64)
+	for len(s.times) > 0 && s.times[0] <= until {
+		t := s.times.pop()
 		actions := s.agenda[t]
 		delete(s.agenda, t)
 		if t < s.now {
@@ -243,7 +296,6 @@ func (s *LevelSim) Run(until uint64) error {
 			s.consumedTimes = append(s.consumedTimes, t)
 		}
 		s.now = t
-		var fns []func()
 		for _, a := range actions {
 			switch a.kind {
 			case lsInput:
@@ -260,15 +312,21 @@ func (s *LevelSim) Run(until uint64) error {
 				s.touchCell(a.cellID)
 				s.state[a.cellID] = s.state[a.cellID].Not()
 			case lsFunc:
-				fns = append(fns, a.fn)
+				s.fns = append(s.fns, a.fn)
 			}
 		}
 		if err := s.settleAndCommit(); err != nil {
 			return err
 		}
+		// The buffer is taken while its callbacks run, so one that
+		// re-enters the engine cannot overwrite it.
+		fns := s.fns
+		s.fns = nil
 		for _, fn := range fns {
 			fn()
 		}
+		clear(fns)
+		s.fns = fns[:0]
 	}
 	if until > s.now {
 		s.now = until
@@ -289,16 +347,11 @@ func (s *LevelSim) settleAndCommit() error {
 		s.propagate()
 		// Phase 1: detect rising edges and compute next states from the
 		// settled pre-update values.
-		type capture struct {
-			cell int
-			next logic.V
-		}
-		var caps []capture
+		caps := s.caps[:0]
 		for _, cid := range s.seqCells {
 			c := s.flat.Cells[cid]
-			clkNet := c.In[c.Def.InputIndex(c.Def.Seq.Clock)]
-			clkNow := s.scratch[clkNet]
-			in := make([]logic.V, len(c.In))
+			clkNow := s.scratch[c.In[c.Def.ClockPin()]]
+			in := s.in[:len(c.In)]
 			for i, nid := range c.In {
 				in[i] = s.scratch[nid]
 			}
@@ -317,6 +370,7 @@ func (s *LevelSim) settleAndCommit() error {
 				s.prevClk[cid] = clkNow
 			}
 		}
+		s.caps = caps
 		if len(caps) == 0 {
 			break
 		}
@@ -326,8 +380,9 @@ func (s *LevelSim) settleAndCommit() error {
 			s.state[cp.cell] = cp.next
 		}
 	}
-	// Commit and fire callbacks deterministically.
-	changed := make([]int, 0, 16)
+	// Commit and fire callbacks deterministically: changed is ascending
+	// by construction.
+	changed := s.changed[:0]
 	for nid := range s.cur {
 		if s.cur[nid] != s.scratch[nid] {
 			s.touchNet(nid)
@@ -337,12 +392,15 @@ func (s *LevelSim) settleAndCommit() error {
 			}
 		}
 	}
-	sort.Ints(changed)
+	// As with Run's callbacks, the buffer is taken while they fire: a
+	// callback that flips state re-enters settleAndCommit.
+	s.changed = nil
 	for _, nid := range changed {
 		for _, fn := range s.cbs[nid] {
 			fn(s.now, s.cur[nid])
 		}
 	}
+	s.changed = changed[:0]
 	return nil
 }
 
@@ -367,25 +425,25 @@ func (s *LevelSim) propagate() {
 	}
 	for _, cid := range s.seqCells {
 		c := s.flat.Cells[cid]
-		outs := c.Def.StateOutputs(s.state[cid])
+		out := s.out[:len(c.Out)]
+		c.Def.StateOutputs(s.state[cid], out)
 		for i, nid := range c.Out {
-			set(nid, outs[i])
+			set(nid, out[i])
 		}
 	}
-	in := make([]logic.V, 8)
 	const maxSweeps = 16
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		changed := false
 		for _, cid := range s.combOrder {
 			s.cellEvals++
 			c := s.flat.Cells[cid]
-			in = in[:len(c.In)]
+			in, out := s.in[:len(c.In)], s.out[:len(c.Out)]
 			for i, nid := range c.In {
 				in[i] = s.scratch[nid]
 			}
-			outs := c.Def.Eval(in)
+			c.Def.Eval(in, out)
 			for i, nid := range c.Out {
-				if set(nid, outs[i]) {
+				if set(nid, out[i]) {
 					changed = true
 				}
 			}

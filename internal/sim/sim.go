@@ -71,13 +71,15 @@ type Engine interface {
 	Restore(*Checkpoint) error
 	// RestoreDelta is Restore with the wholesale copy replaced by a
 	// dirty-set rewrite when ck is the checkpoint this engine most
-	// recently restored: only the state touched since that restore — and
-	// only the queue entries consumed, cancelled or added since — is
-	// rewritten. The resulting engine state is bit-identical to a full
-	// Restore(ck); the saving is proportional to how little of the tail
-	// the previous injection actually simulated, which is what lets a
-	// batch of strike-sorted injections sharing one restore point amortize
-	// the restore cost. Any other checkpoint falls back to Restore.
+	// recently restored: only the per-net and per-cell state touched
+	// since that restore is rewritten, and the schedule is brought back
+	// by whichever of a repair or a straight copy the engine's queue
+	// makes cheaper. The resulting engine state is bit-identical to a
+	// full Restore(ck); the saving is proportional to how little of the
+	// tail the previous injection actually simulated, which is what lets
+	// a batch of strike-sorted injections sharing one restore point
+	// amortize the restore cost. Any other checkpoint falls back to
+	// Restore.
 	RestoreDelta(*Checkpoint) error
 	// MatchesCheckpoint reports whether the engine's present state is
 	// indistinguishable from the checkpoint (ignoring callbacks and the
@@ -127,4 +129,15 @@ func validateSeqCell(f *netlist.Flat, cellID int) error {
 		return fmt.Errorf("sim: cell %q is not sequential", f.Cells[cellID].Path)
 	}
 	return nil
+}
+
+// pinBuffers returns input and output scratch large enough for any cell
+// of f, so the engines' per-eval paths never allocate.
+func pinBuffers(f *netlist.Flat) (in, out []logic.V) {
+	maxIn, maxOut := 0, 0
+	for _, c := range f.Cells {
+		maxIn = max(maxIn, len(c.In))
+		maxOut = max(maxOut, len(c.Out))
+	}
+	return make([]logic.V, maxIn), make([]logic.V, maxOut)
 }

@@ -12,8 +12,8 @@ package sim
 // suffix copy-on-write into its predecessor, so total memory is one full
 // schedule plus small per-checkpoint deltas, independent of pitch.
 //
-// Checkpoints are immutable after creation and Restore copies rather than
-// aliases, so shared tails remain safe for concurrent restores. Pairs of
+// Checkpoints are immutable after creation and Restore never writes into
+// them, so shared tails remain safe for concurrent restores. Pairs of
 // mismatched kinds are skipped; sharing never changes restore semantics,
 // only storage.
 func ShareTails(cks []*Checkpoint) {
